@@ -11,7 +11,6 @@
 //! | `fig7`      | Fig. 7 — attack-free ego trajectory             |
 //! | `fig8`      | Fig. 8 — start-time × duration parameter space  |
 //! | `ablations` | checksum-repair / Panda / driver ablations      |
-//! | `micro`     | Criterion micro-benchmarks of the components    |
 //!
 //! Campaign sizes default to the paper's (1,440 runs per strategy; 14,400
 //! for Random-ST+DUR). Set `REPRO_SCALE=<divisor>` to shrink them for a

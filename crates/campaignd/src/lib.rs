@@ -21,7 +21,7 @@
 //!   recomputes only the missing cells. The chaos test asserts the final
 //!   report is byte-identical to an undisturbed run.
 //! * **Hardened HTTP** ([`http`]) — a hand-rolled incremental HTTP/1.1
-//!   parser over `std::net` (the vendor-stub culture rules out tokio):
+//!   parser over `std::net` (the offline, std-only build rules out tokio):
 //!   read timeouts, header/body caps, Slowloris-resistant accumulation
 //!   deadlines, pipelining, and graceful drain on `POST /shutdown`.
 //!

@@ -708,29 +708,32 @@ fn supervisor_loop(state: &Arc<ServerState>) {
             &job.progress,
             &state.stats,
             &state.draining,
-        );
-        match outcome {
-            Ok(JobOutcome::Completed { report }) => {
+        )
+        .unwrap_or_else(|e| JobOutcome::Failed {
+            reason: format!("i/o error: {e}"),
+        });
+        // Publish status and report before the terminal stream event: a
+        // client that fetches the report as soon as the stream ends must
+        // find the job settled.
+        match &outcome {
+            JobOutcome::Completed { report } => {
                 {
                     let mut held = job.report.lock().unwrap_or_else(PoisonError::into_inner);
-                    *held = Some(report);
+                    *held = Some(report.clone());
                 }
                 set_status(&job, JobStatus::Completed);
                 record_done(state, &id, "completed");
             }
-            Ok(JobOutcome::Failed { reason }) => {
-                set_status(&job, JobStatus::Failed(reason));
+            JobOutcome::Failed { reason } => {
+                set_status(&job, JobStatus::Failed(reason.clone()));
                 record_done(state, &id, "failed");
             }
-            Ok(JobOutcome::Interrupted) => {
+            JobOutcome::Interrupted => {
                 set_status(&job, JobStatus::Interrupted);
                 // No manifest record: resume re-enqueues it.
             }
-            Err(e) => {
-                set_status(&job, JobStatus::Failed(format!("i/o error: {e}")));
-                record_done(state, &id, "failed");
-            }
         }
+        job.progress.finish(&id, &outcome);
     }
 }
 

@@ -140,9 +140,23 @@ impl JobProgress {
         self.events_cv.notify_all();
     }
 
-    /// Marks the job finished and wakes streamers so they can drain and
-    /// close.
-    pub fn mark_finished(&self) {
+    /// Appends the terminal `job` event for `outcome`, then marks the job
+    /// finished and wakes streamers so they can drain and close. The
+    /// daemon calls this only after publishing the job's status and
+    /// report, so a client that sees the stream end can fetch the report.
+    pub fn finish(&self, job_id: &str, outcome: &JobOutcome) {
+        let tail = match outcome {
+            JobOutcome::Completed { .. } => {
+                format!("\"completed\", \"cells_total\": {}", self.cells_total)
+            }
+            JobOutcome::Failed { reason } => {
+                format!("\"failed\", \"reason\": \"{}\"", escape(reason))
+            }
+            JobOutcome::Interrupted => "\"interrupted\"".to_string(),
+        };
+        self.push_event(format!(
+            "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": {tail}}}"
+        ));
         self.finished.store(true, Ordering::SeqCst);
         self.events_cv.notify_all();
     }
@@ -275,17 +289,17 @@ pub fn run_job(
     let mut quarantine: Vec<usize> = Vec::new();
     for chunk in missing.chunks(chunk_cells) {
         if drain.load(Ordering::SeqCst) {
-            return interrupt(job_id, progress, &wal);
+            return settle(&wal, JobOutcome::Interrupted);
         }
         if deadline_hit(Instant::now()) {
-            return fail(
-                job_id,
-                progress,
+            return settle(
                 &wal,
-                format!(
-                    "deadline exceeded after {} of {n} cells",
-                    progress.cells_done.load(Ordering::SeqCst)
-                ),
+                JobOutcome::Failed {
+                    reason: format!(
+                        "deadline exceeded after {} of {n} cells",
+                        progress.cells_done.load(Ordering::SeqCst)
+                    ),
+                },
             );
         }
 
@@ -373,16 +387,16 @@ pub fn run_job(
                             stats.cells_done.fetch_add(1, Ordering::SeqCst);
                         }
                         Retry::Quarantined => quarantine.push(gi),
-                        Retry::Drained => return interrupt(job_id, progress, &wal),
+                        Retry::Drained => return settle(&wal, JobOutcome::Interrupted),
                         Retry::DeadlineHit => {
-                            return fail(
-                                job_id,
-                                progress,
+                            return settle(
                                 &wal,
-                                format!(
-                                    "deadline exceeded after {} of {n} cells",
-                                    progress.cells_done.load(Ordering::SeqCst)
-                                ),
+                                JobOutcome::Failed {
+                                    reason: format!(
+                                        "deadline exceeded after {} of {n} cells",
+                                        progress.cells_done.load(Ordering::SeqCst)
+                                    ),
+                                },
                             )
                         }
                     }
@@ -402,28 +416,24 @@ pub fn run_job(
             .unwrap_or_else(PoisonError::into_inner);
         held.extend_from_slice(&quarantine);
         drop(held);
-        return fail(
-            job_id,
-            progress,
+        return settle(
             &wal,
-            format!(
-                "{} cell(s) quarantined after {} attempts each: [{}]",
-                quarantine.len(),
-                cfg.max_attempts,
-                listed.join(", ")
-            ),
+            JobOutcome::Failed {
+                reason: format!(
+                    "{} cell(s) quarantined after {} attempts each: [{}]",
+                    quarantine.len(),
+                    cfg.max_attempts,
+                    listed.join(", ")
+                ),
+            },
         );
     }
 
     let complete: Vec<SimResult> = results.into_iter().flatten().collect();
     debug_assert_eq!(complete.len(), n);
-    let report = spec.report(&complete);
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"completed\", \
-\"cells_total\": {n}}}"
-    ));
-    progress.mark_finished();
-    Ok(JobOutcome::Completed { report })
+    Ok(JobOutcome::Completed {
+        report: spec.report(&complete),
+    })
 }
 
 enum Retry {
@@ -489,33 +499,10 @@ fn retry_cell(
     }
 }
 
-fn interrupt(
-    job_id: &str,
-    progress: &Arc<JobProgress>,
-    wal: &Arc<Mutex<WalWriter>>,
-) -> std::io::Result<JobOutcome> {
+/// Syncs the WAL and returns an early (failed or interrupted) outcome.
+fn settle(wal: &Arc<Mutex<WalWriter>>, outcome: JobOutcome) -> std::io::Result<JobOutcome> {
     wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"interrupted\"}}"
-    ));
-    progress.mark_finished();
-    Ok(JobOutcome::Interrupted)
-}
-
-fn fail(
-    job_id: &str,
-    progress: &Arc<JobProgress>,
-    wal: &Arc<Mutex<WalWriter>>,
-    reason: String,
-) -> std::io::Result<JobOutcome> {
-    wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"failed\", \
-\"reason\": \"{}\"}}",
-        escape(&reason)
-    ));
-    progress.mark_finished();
-    Ok(JobOutcome::Failed { reason })
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Minimal flat-JSON wire codec for the job API.
 //!
-//! The vendored `serde` is an API stub, so — like every report writer in
-//! this workspace — campaignd hand-rolls its JSON. Parsing is scoped to
+//! Like every report writer in this workspace, campaignd hand-rolls its
+//! JSON with `std` only. Parsing is scoped to
 //! exactly what job submissions need: one flat object whose values are
 //! strings, unsigned integers, booleans, or arrays of `[int, int]` pairs
 //! (the chaos knobs). Anything else is a parse error, not a guess.

@@ -147,6 +147,23 @@ pub fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, Strin
     (status, body)
 }
 
+/// Reads `GET /jobs/<id>/stream` to its end (the daemon closes the
+/// connection once the job finishes) and returns the NDJSON event lines.
+pub fn stream_to_end(addr: &str, id: &str) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(180)))
+        .expect("read timeout");
+    stream
+        .write_all(format!("GET /jobs/{id}/stream HTTP/1.1\r\n\r\n").as_bytes())
+        .expect("write request");
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("read stream");
+    let (head, body) = text.split_once("\r\n\r\n").expect("response head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    body.lines().map(str::to_string).collect()
+}
+
 /// Extracts the `"id"` value from a `POST /jobs` 202 body.
 pub fn job_id(body: &str) -> String {
     let tail = body

@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use common::{http, job_id, read_response, temp_state, wait_for_status, Daemon};
+use common::{http, job_id, read_response, stream_to_end, temp_state, wait_for_status, Daemon};
 use platform::experiment::RunnerConfig;
 use platform::resilience::{run_resilience_campaign_with, ResilienceConfig};
 
@@ -115,6 +115,51 @@ fn submitted_job_reproduces_the_in_process_report() {
         report, expected,
         "daemon report must be byte-identical to the in-process campaign"
     );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// The daemon settles a job (status, report) before it ends the job's
+/// stream, so the first report request after the stream closes must get
+/// the final answer — 200, or 410 for a failed job — never a 409.
+#[test]
+fn report_is_settled_when_the_stream_ends() {
+    let state = temp_state("settled");
+    let mut daemon = Daemon::launch(&state, &[]);
+    // (attack, base seed, chaos knobs, first report status, last event)
+    let jobs = [
+        ("steering_right", 1, "", 200, "completed"),
+        ("acceleration", 2, "", 200, "completed"),
+        (
+            "deceleration",
+            3,
+            r#", "panic_cells": [[0, 1000]]"#,
+            410,
+            "failed",
+        ),
+        ("steering_left", 4, "", 200, "completed"),
+    ];
+    for (attack, seed, chaos, want, terminal) in jobs {
+        let body = format!(
+            "{{\"kind\": \"attack\", \"strategy\": \"context_aware\", \
+\"attack\": \"{attack}\", \"base_seed\": {seed}, \"reps\": 1{chaos}}}"
+        );
+        let (status, reply) = http(&daemon.addr, "POST", "/jobs", Some(&body));
+        assert_eq!(status, 202, "{reply}");
+        let id = job_id(&reply);
+        let events = stream_to_end(&daemon.addr, &id);
+        let last = events.last().expect("stream carried events");
+        assert!(
+            last.contains(&format!("\"status\": \"{terminal}\"")),
+            "{last}"
+        );
+        let (status, report) = http(&daemon.addr, "GET", &format!("/jobs/{id}/report"), None);
+        assert_eq!(
+            status, want,
+            "first report GET after the stream ended: {report}"
+        );
+    }
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);

@@ -1,7 +1,6 @@
 //! The virtual CAN bus: a per-tick frame queue with a man-in-the-middle
 //! interceptor hook and an optional traffic capture.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use units::Tick;
 
 use crate::CanFrame;
@@ -137,7 +136,7 @@ impl CanBus {
 /// ranges.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Capture {
-    buf: BytesMut,
+    buf: Vec<u8>,
     frames: usize,
 }
 
@@ -149,10 +148,11 @@ impl Capture {
 
     /// Appends one frame observation.
     pub fn record(&mut self, tick: Tick, frame: &CanFrame) {
-        self.buf.put_u64(tick.index());
-        self.buf.put_u16(frame.id());
-        self.buf.put_u8(frame.dlc());
-        self.buf.put_slice(frame.data());
+        self.buf.extend_from_slice(&tick.index().to_be_bytes());
+        self.buf.extend_from_slice(&frame.id().to_be_bytes());
+        // adas-lint: allow(R13, reason = "opt-in frame capture — attached only when recon or a test asks for it; unbounded growth is the feature, and the steady-state alloc gate runs without it")
+        self.buf.push(frame.dlc());
+        self.buf.extend_from_slice(frame.data());
         self.frames += 1;
     }
 
@@ -166,14 +166,14 @@ impl Capture {
         self.frames == 0
     }
 
-    /// Freezes the capture into an immutable byte buffer.
-    pub fn into_bytes(self) -> Bytes {
-        self.buf.freeze()
+    /// The captured records as one byte buffer.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
-    /// Parses a frozen capture back into `(tick, frame)` records. Truncated
-    /// or malformed records terminate the parse rather than panicking.
-    pub fn parse(bytes: &Bytes) -> Vec<(Tick, CanFrame)> {
+    /// Parses a capture back into `(tick, frame)` records. Truncated or
+    /// malformed records terminate the parse rather than panicking.
+    pub fn parse(bytes: &[u8]) -> Vec<(Tick, CanFrame)> {
         let mut out = Vec::new();
         let mut i = 0usize;
         while let Some(tick_bytes) = bytes
@@ -295,7 +295,6 @@ mod tests {
         let mut c = Capture::new();
         c.record(Tick::ZERO, &frame(0xE4, 1));
         let bytes = c.into_bytes();
-        let truncated = bytes.slice(..bytes.len() - 3);
-        assert!(Capture::parse(&truncated).is_empty());
+        assert!(Capture::parse(&bytes[..bytes.len() - 3]).is_empty());
     }
 }

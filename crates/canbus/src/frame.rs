@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
-
 /// A classic CAN 2.0A data frame: 11-bit identifier, up to 8 data bytes.
 ///
 /// Lower identifiers win bus arbitration, so safety-critical commands (like
@@ -21,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(frame.data()[1], 0x34);
 /// # Ok::<(), canbus::CanError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CanFrame {
     id: u16,
     dlc: u8,
@@ -78,11 +75,6 @@ impl CanFrame {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.data.get_mut(..self.dlc as usize).unwrap_or(&mut [])
-    }
-
-    /// The payload as a cheap, shareable byte buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        Bytes::copy_from_slice(self.data())
     }
 
     /// The payload interpreted as a 64-bit big-endian word, unused trailing
@@ -142,7 +134,6 @@ mod tests {
         let f = CanFrame::new(0x1, &[1, 2, 3]).unwrap();
         assert_eq!(f.data(), &[1, 2, 3]);
         assert_eq!(f.dlc(), 3);
-        assert_eq!(f.to_bytes().as_ref(), &[1, 2, 3]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The six attack types of the paper's Table II and their component actions.
 
-use serde::{Deserialize, Serialize};
-
 /// Which way a steering attack pushes the car.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SteerDirection {
     /// Toward the neighbouring lane (positive steering angle).
     Left,
@@ -22,7 +20,7 @@ impl SteerDirection {
 }
 
 /// An elementary unsafe control action (the `u₁..u₄` of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackAction {
     /// `u₁`: maximum gas, zero brake.
     Accelerate,
@@ -34,7 +32,7 @@ pub enum AttackAction {
 
 /// The attack types of Table II: each experiment injects faults into one
 /// output variable or a combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackType {
     /// Corrupt gas (max) and brake (zero).
     Acceleration,

@@ -20,11 +20,10 @@ use std::collections::BTreeMap;
 use canbus::checksum::verify_honda_checksum;
 use canbus::CanFrame;
 use msgbus::schema::CarControl;
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Tick};
 
 /// A contiguous big-endian bit field inferred from traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InferredField {
     /// Index of the first (most significant) active byte.
     pub start_byte: usize,
@@ -33,7 +32,7 @@ pub struct InferredField {
 }
 
 /// Everything learned about one CAN id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageProfile {
     /// The frame identifier.
     pub id: u16,
@@ -171,7 +170,7 @@ fn profile_one(id: u16, frames: &[(Tick, CanFrame)]) -> MessageProfile {
 /// constraint set of Eq. 1. A strategic attacker chooses values inside these
 /// bounds so the ADAS software checks (and the driver's sense of "normal")
 /// are never violated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyEnvelopeEstimate {
     /// Largest commanded acceleration seen.
     pub accel_max: Accel,

@@ -1,13 +1,12 @@
 //! The safety context table (paper Table I): the STPA-derived mapping from
 //! system context to unsafe control action.
 
-use serde::{Deserialize, Serialize};
 use units::{Distance, Seconds, Speed};
 
 use crate::{AttackAction, ContextState, SteerDirection};
 
 /// The hazard a rule's unsafe action can lead to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PotentialHazard {
     /// H1: violating the safe following distance (→ forward collision A1).
     H1,
@@ -20,7 +19,7 @@ pub enum PotentialHazard {
 /// Tunable thresholds of the context table. The paper gives ranges
 /// (`t_safe ∈ [2,3] s`, `β₁, β₂ ∈ [20,35] mph`); the attacker fixes them from
 /// domain knowledge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuleParams {
     /// Safe headway-time threshold.
     pub t_safe: Seconds,
@@ -46,7 +45,7 @@ impl Default for RuleParams {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextRule {
     /// Row number (1–4), for display.
     pub id: u8,
@@ -120,7 +119,7 @@ impl ContextRule {
 }
 
 /// The full context table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextTable {
     rules: Vec<ContextRule>,
     params: RuleParams,

@@ -3,11 +3,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use units::{Seconds, Tick};
 
 /// The attack strategies compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// Start ~ U[5, 40] s, duration ~ U[0.5, 2.5] s (first baseline).
     RandomStDur,
@@ -47,7 +46,7 @@ impl StrategyKind {
 }
 
 /// Decides, each tick, whether the attack should be firing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackScheduler {
     kind: StrategyKind,
     /// Random start (random-start strategies), drawn at construction.

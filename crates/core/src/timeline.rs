@@ -1,13 +1,12 @@
 //! Attack timeline bookkeeping (paper Fig. 2).
 
-use serde::{Deserialize, Serialize};
 use units::{Seconds, Tick};
 
 /// The timestamps of the attack-propagation timeline: activation `t_a`,
 /// halting (driver engagement `t_ex`), plus activity counters. The hazard
 /// time `t_h` — and hence TTH — is recorded by the platform's hazard
 /// detector, which owns ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackTimeline {
     activated_at: Option<Tick>,
     halted_at: Option<Tick>,

@@ -19,7 +19,6 @@
 
 use canbus::checksum::verify_honda_checksum;
 use canbus::{CanFrame, BRAKE_COMMAND_ID, GAS_COMMAND_ID, STEERING_CONTROL_ID};
-use serde::{Deserialize, Serialize};
 use units::{limits, Tick};
 
 /// How the harness acts on what the defense stack reports.
@@ -27,7 +26,7 @@ use units::{limits, Tick};
 /// Deliberately *exhaustive* (adas-lint R8): every consumer must name every
 /// policy — a new policy silently lumped into a `_ =>` arm would change
 /// what "defended" means without anyone noticing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DefensePolicy {
     /// No detectors run at all (the paper's baseline ADAS).
     #[default]
@@ -77,7 +76,7 @@ impl DefensePolicy {
 /// Deliberately *exhaustive* (adas-lint R8): a consumer that lumps `Alarm`
 /// into a wildcard arm is ignoring the one verdict that must trigger
 /// mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IdsVerdict {
     /// Every watched message is arriving on schedule with valid integrity
     /// fields.
@@ -104,7 +103,7 @@ impl IdsVerdict {
 /// isolated glitches; at the defaults a total bus loss alarms in ~0.2 s and
 /// persistent corruption in ~40 ms, while any isolated single-frame event
 /// decays away without alarming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdsConfig {
     /// Consecutive missing cycles of a watched message before each further
     /// cycle counts as a timing event (absorbs scheduling jitter).
@@ -129,7 +128,7 @@ impl Default for IdsConfig {
 }
 
 /// Per-message-ID bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct IdState {
     /// Consecutive cycles with no frame for this id.
     miss_streak: u32,
@@ -141,7 +140,7 @@ struct IdState {
 const WATCHED: [u16; 3] = [STEERING_CONTROL_ID, GAS_COMMAND_ID, BRAKE_COMMAND_ID];
 
 /// The CAN intrusion detector.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CanIds {
     config: IdsConfig,
     ids: [IdState; WATCHED.len()],

@@ -3,12 +3,11 @@
 //! DSN'21): a monitor at the actuation boundary that flags control actions
 //! which are unsafe *in the current driving context*, whoever issued them.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Distance, Seconds, Speed, Tick};
 
 /// The context variables the monitor evaluates commands against (the same
 /// quantities the attacker infers — defence and attack read one table).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContextObservation {
     /// Ego speed.
     pub v_ego: Speed,
@@ -23,7 +22,7 @@ pub struct ContextObservation {
 }
 
 /// Verdict for one cycle's command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorVerdict {
     /// Command is consistent with the context.
     Safe,
@@ -34,7 +33,7 @@ pub enum MonitorVerdict {
 }
 
 /// Monitor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Headway threshold below which acceleration is unsafe.
     pub t_safe: Seconds,
@@ -68,7 +67,7 @@ impl Default for MonitorConfig {
 
 /// The monitor: stateless per-cycle rule evaluation plus a confirmation
 /// window so transient controller behaviour never alarms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextMonitor {
     config: MonitorConfig,
     streak: u32,

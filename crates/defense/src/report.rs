@@ -1,13 +1,12 @@
 //! Detection outcome bookkeeping.
 
-use serde::{Deserialize, Serialize};
 use units::{Seconds, Tick};
 
 /// The outcome of running a defense against one attacked run, relating the
 /// detection instant to the attack timeline (Fig. 2): a useful detection
 /// lands after activation (`t_a`) and *before* the hazard (`t_h`), with
 /// enough lead time for mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DetectionReport {
     /// When the attack activated.
     pub attack_at: Option<Tick>,

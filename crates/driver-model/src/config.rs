@@ -1,10 +1,9 @@
 //! Driver parameterisation.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Seconds};
 
 /// Parameters of the simulated driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
     /// Whether the driver is paying attention at all. An inattentive driver
     /// never notices anything (the paper's "without driver reaction"

@@ -1,6 +1,5 @@
 //! The driver state machine: monitoring → reacting → engaged.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Distance, Speed, Tick};
 
 use crate::{brake_curve, DriverConfig};
@@ -29,7 +28,7 @@ pub struct Observation {
 /// What kind of anomaly the driver noticed — it shapes the response: a
 /// phantom hard brake is answered by releasing the pedals and resuming,
 /// everything else by a panic brake along Eq. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyKind {
     /// Braking harder than the ADAS envelope allows.
     UnexpectedBrake,
@@ -44,7 +43,7 @@ pub enum AnomalyKind {
 }
 
 /// The command issued by an engaged driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverCommand {
     /// Longitudinal command (panic brake per Eq. 4).
     pub accel: Accel,
@@ -53,7 +52,7 @@ pub struct DriverCommand {
 }
 
 /// Where the driver is in the perceive–react–act pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverPhase {
     /// Hands off, monitoring.
     Monitoring,
@@ -74,7 +73,7 @@ pub enum DriverPhase {
 }
 
 /// The simulated human driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Driver {
     config: DriverConfig,
     phase: DriverPhase,

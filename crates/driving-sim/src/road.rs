@@ -6,11 +6,10 @@
 //! guardrail close to the right of the ego lane and a neighbouring lane (plus
 //! a farther guardrail) on the left.
 
-use serde::{Deserialize, Serialize};
 use units::Distance;
 
 /// Static road description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Road {
     lane_width: Distance,
     /// Piecewise-constant curvature profile: `(start_s_m, kappa_per_m)`,

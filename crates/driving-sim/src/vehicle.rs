@@ -1,13 +1,12 @@
 //! The ego vehicle: a kinematic bicycle model with first-order actuator lag.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Distance, Seconds, Speed, DT};
 
 use crate::Road;
 
 /// Physical parameters of the simulated car (roughly a mid-size sedan, the
 /// class OpenPilot most commonly runs on).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleParams {
     /// Wheelbase.
     pub wheelbase: Distance,
@@ -48,7 +47,7 @@ impl Default for VehicleParams {
 /// The command applied to the actuators each control cycle: a net
 /// longitudinal acceleration request (positive gas, negative brake) and a
 /// road-wheel steering angle request.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ActuatorCommand {
     /// Longitudinal acceleration request.
     pub accel: Accel,
@@ -57,7 +56,7 @@ pub struct ActuatorCommand {
 }
 
 /// Ego vehicle state in road-aligned coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vehicle {
     params: VehicleParams,
     /// Longitudinal position along the road.

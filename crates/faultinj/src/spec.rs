@@ -1,7 +1,5 @@
 //! The fault grammar: what can fail, where, when, and how hard.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of concurrent fault specs in one [`FaultSchedule`].
 ///
 /// A fixed capacity keeps the schedule `Copy`, which keeps
@@ -14,7 +12,7 @@ pub const MAX_FAULTS: usize = 8;
 /// kind must be a compile-time event at every match, never absorbed by a
 /// `_ =>` arm — a new failure mode silently ignored by the degradation
 /// layer or the resilience report is exactly the bug this rule exists for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The targeted sensor module goes silent: its message stream stops
     /// entirely for the tick (per-tick probability = `intensity`).
@@ -105,7 +103,7 @@ impl FaultKind {
 
 /// Which sensor stream(s) a sensor/bus-side fault hits. CAN-side faults
 /// ignore the target (there is one actuator bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// `gpsLocationExternal` only.
     Gps,
@@ -135,7 +133,7 @@ impl FaultTarget {
 }
 
 /// One scheduled fault: a kind, a target, an activity window and knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// What fails.
     pub kind: FaultKind,
@@ -191,7 +189,7 @@ impl FaultSpec {
 
 /// Up to [`MAX_FAULTS`] fault specs, `Copy` so it can ride inside
 /// `HarnessConfig` and campaign plans.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSchedule {
     slots: [Option<FaultSpec>; MAX_FAULTS],
 }

@@ -75,6 +75,9 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use platform::experiment::RunnerConfig;
 
 /// Directories never scanned: build output, vendored dep shims (not our
 /// code), VCS internals, and the lint's own deliberately-violating test
@@ -88,8 +91,6 @@ pub struct ScanOptions {
     pub use_cache: bool,
     /// Cache directory; `None` means [`default_cache_dir`].
     pub cache_dir: Option<PathBuf>,
-    /// Whether to analyze files across worker threads.
-    pub parallel: bool,
     /// Active rules; findings for other rules are not computed or
     /// reported. Part of the cache key — see [`cache::scan_key`].
     pub rules: Vec<Rule>,
@@ -100,7 +101,6 @@ impl Default for ScanOptions {
         ScanOptions {
             use_cache: true,
             cache_dir: None,
-            parallel: true,
             rules: ALL_RULES.to_vec(),
         }
     }
@@ -285,10 +285,16 @@ pub fn scan_workspace_with(
     // holds borrows-free trees that are cheap to rebuild and expensive to
     // serialize, and the whole-program phase re-reads them every run
     // anyway — caching them could only add a staleness channel.
+    // The pool's jobs are `'static`, so the closure owns its inputs.
     type PerFile = (FileInfo, cache::FileAnalysis, bool, Option<absint::SemFile>);
-    let analyze = |i: usize| -> io::Result<PerFile> {
+    let n = rels.len();
+    let rels: Arc<[String]> = rels.into();
+    let file_root = root.to_path_buf();
+    let use_cache = opts.use_cache;
+    let rules = opts.rules.clone();
+    let analyze = move |i: usize| -> io::Result<PerFile> {
         let rel = &rels[i];
-        let source = fs::read_to_string(root.join(rel))?;
+        let source = fs::read_to_string(file_root.join(rel))?;
         let info = classify(rel);
         let key = cache::scan_key(cache::content_hash(source.as_bytes()), cfg);
         let sem = (sem_active && scope::needs_ir(&info)).then(|| {
@@ -299,23 +305,20 @@ pub fn scan_workspace_with(
                 scope::r11_applies(&info),
             )
         });
-        if opts.use_cache {
+        if use_cache {
             if let Some(a) = cache::load(&cache_dir, rel, key) {
                 return Ok((info, a, true, sem));
             }
         }
         let mut a = rules::analyze_file(&info, &source);
-        a.raw_diags.retain(|d| opts.rules.contains(&d.rule));
-        if opts.use_cache {
+        a.raw_diags.retain(|d| rules.contains(&d.rule));
+        if use_cache {
             cache::store(&cache_dir, rel, key, &a);
         }
         Ok((info, a, false, sem))
     };
-    let results: Vec<io::Result<PerFile>> = if opts.parallel {
-        platform::experiment::run_parallel_map(rels.len(), analyze)
-    } else {
-        (0..rels.len()).map(analyze).collect()
-    };
+    let workers = RunnerConfig::default().worker_count(n);
+    let results: Vec<io::Result<PerFile>> = platform::pool::run_indexed(workers, n, analyze);
 
     let mut report = ScanReport::default();
     let mut analyses: Vec<(FileInfo, cache::FileAnalysis)> = Vec::with_capacity(results.len());

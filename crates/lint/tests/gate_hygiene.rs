@@ -19,7 +19,6 @@ fn opts(cache_dir: Option<PathBuf>, use_cache: bool) -> ScanOptions {
     ScanOptions {
         use_cache,
         cache_dir,
-        parallel: false,
         ..ScanOptions::default()
     }
 }

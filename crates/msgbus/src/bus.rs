@@ -13,9 +13,8 @@
 //! long and steady-state publishing allocates nothing.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use units::Tick;
 
 use crate::{Envelope, MessageLog, Payload, Topic};
@@ -145,7 +144,7 @@ impl Bus {
     /// earlier traffic is not replayed (use [`Bus::enable_logging`] to
     /// capture history).
     pub fn subscribe(&self, topics: &[Topic]) -> Subscriber {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mask = topics.iter().fold(0u64, |m, &t| m | topic_bit(t));
         let cursor = inner.seq;
         // adas-lint: allow(R14, reason = "subscriber registration at wiring time — the lock provides exclusivity, not a parallel result merge; subscription order is single-threaded program order")
@@ -171,7 +170,7 @@ impl Bus {
     ///
     /// Returns the bus-wide sequence number assigned to the message.
     pub fn publish(&self, tick: Tick, payload: Payload) -> u64 {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
         let seq = inner.seq;
         inner.seq += 1;
@@ -223,7 +222,7 @@ impl Bus {
     /// Starts recording every published message into an internal
     /// [`MessageLog`].
     pub fn enable_logging(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.log.is_none() {
             inner.log = Some(MessageLog::new());
         }
@@ -231,12 +230,19 @@ impl Bus {
 
     /// Stops logging and returns the captured log, if logging was enabled.
     pub fn take_log(&self) -> Option<MessageLog> {
-        self.inner.lock().log.take()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log
+            .take()
     }
 
     /// Number of messages published so far.
     pub fn published_count(&self) -> u64 {
-        self.inner.lock().seq
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .seq
     }
 
     /// Cumulative publish counts, indexed by [`Topic::index`].
@@ -245,19 +251,32 @@ impl Bus {
     /// recorder snapshots every tick; it is maintained unconditionally
     /// because the cost (one array increment per publish) is negligible.
     pub fn published_by_topic(&self) -> [u64; Topic::COUNT] {
-        self.inner.lock().published_by_topic
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .published_by_topic
     }
 
     /// Number of live (undropped) subscribers.
     pub fn subscriber_count(&self) -> usize {
-        self.inner.lock().subs.iter().filter(|s| !s.closed).count()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .subs
+            .iter()
+            .filter(|s| !s.closed)
+            .count()
     }
 
     /// Number of messages currently retained in the shared ring — the
     /// high-water mark every undrained subscriber contributes to. Exposed
     /// for tests and capacity diagnostics.
     pub fn ring_len(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .ring
+            .len()
     }
 }
 
@@ -293,7 +312,7 @@ impl Subscriber {
     /// (and every payload on the sensor/control topics is plain data).
     pub fn drain_into(&mut self, buf: &mut Vec<Envelope>) -> usize {
         buf.clear();
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let BusInner {
             ring,
             front_seq,
@@ -321,7 +340,7 @@ impl Subscriber {
 
     /// Removes and returns the oldest queued message, if any.
     pub fn try_recv(&mut self) -> Option<Envelope> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let BusInner {
             ring,
             front_seq,
@@ -355,6 +374,7 @@ impl Subscriber {
     pub fn pending(&self) -> usize {
         self.inner
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .subs
             .get(self.id)
             .map_or(0, |s| s.pending)
@@ -365,6 +385,7 @@ impl Subscriber {
     pub fn dropped(&self) -> u64 {
         self.inner
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .subs
             .get(self.id)
             .map_or(0, |s| s.dropped)
@@ -373,7 +394,7 @@ impl Subscriber {
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let head = guard.seq;
         if let Some(sub) = guard.subs.get_mut(self.id) {
             sub.closed = true;

@@ -1,12 +1,11 @@
 //! A published message together with its metadata.
 
-use serde::{Deserialize, Serialize};
 use units::Tick;
 
 use crate::{Payload, Topic};
 
 /// A message as delivered to subscribers: payload plus publication metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     seq: u64,
     tick: Tick,

@@ -5,13 +5,12 @@
 //! half of that: a record of all bus traffic that can be mined for topics,
 //! rates and value ranges.
 
-use serde::{Deserialize, Serialize};
 use units::Tick;
 
 use crate::{Envelope, Topic};
 
 /// An append-only record of published messages.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MessageLog {
     entries: Vec<Envelope>,
 }

@@ -1,14 +1,13 @@
 //! Adaptive Cruise Control: the longitudinal planner/controller.
 
 use msgbus::schema::CarState;
-use serde::{Deserialize, Serialize};
 use units::{Accel, Distance, Seconds, Speed};
 
 use crate::radar::LeadEstimate;
 use crate::SafetyLimits;
 
 /// Longitudinal control output, before and after the safety clamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccOutput {
     /// The raw desired acceleration (used for FCW-style checks).
     pub desired: Accel,
@@ -24,7 +23,7 @@ pub struct AccOutput {
 /// small speed overshoot when catching up to a slower lead — the transient
 /// window (`RS ≤ 0` while `HWT` is still large) that the paper's rule 2
 /// exploits to trigger Deceleration attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccController {
     /// Desired time headway.
     pub time_headway: Seconds,

@@ -8,11 +8,10 @@
 //! path, so a forward-collision attack must now outrun the firmware too.
 
 use msgbus::schema::RadarState;
-use serde::{Deserialize, Serialize};
 use units::{Accel, Seconds, Speed};
 
 /// AEB state per control cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AebState {
     /// No imminent collision.
     Inactive,
@@ -27,7 +26,7 @@ pub enum AebState {
 /// `TTC = gap / closing speed`; below [`AebConfig::warn_ttc`] a warning is
 /// latched, below [`AebConfig::brake_ttc`] the brake request overrides
 /// whatever the (possibly corrupted) longitudinal command says.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AebConfig {
     /// TTC threshold for the warning stage.
     pub warn_ttc: Seconds,
@@ -50,7 +49,7 @@ impl Default for AebConfig {
 
 /// The AEB function. Feed it the radar and ego speed each cycle; it returns
 /// an overriding brake command while active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aeb {
     config: AebConfig,
     state: AebState,

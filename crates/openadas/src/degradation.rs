@@ -17,7 +17,6 @@
 //! controlled stop that still passes the Panda safety filter.
 
 use msgbus::schema::AlertKind;
-use serde::{Deserialize, Serialize};
 use units::{limits, Accel};
 
 /// Consecutive silent ticks (0.25 s) before a stream is declared stale and
@@ -49,7 +48,7 @@ pub const FAILSAFE_BRAKE: Accel = Accel::from_mps2(limits::FAILSAFE_BRAKE_MPS2);
 /// Deliberately *exhaustive* (adas-lint R8): every consumer must name every
 /// rung — a new degradation mode silently lumped into a `_ =>` arm is a
 /// safety bug, not a convenience.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DegradationState {
     /// All sensor streams healthy; full ACC + ALC authority.
     #[default]
@@ -90,7 +89,7 @@ impl DegradationState {
 }
 
 /// Per-stream staleness watchdogs plus the ladder state machine.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DegradationMonitor {
     state: DegradationState,
     gps_stale: u32,

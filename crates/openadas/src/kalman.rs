@@ -4,8 +4,6 @@
 //! speed estimate with it, and the attack engine uses the same filter (Eq. 3)
 //! to predict the ego speed one step ahead when choosing strategic values.
 
-use serde::{Deserialize, Serialize};
-
 /// A one-dimensional Kalman filter over a random-walk-with-drift state.
 ///
 /// # Examples
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// kf.update(26.9);
 /// assert!((kf.estimate() - 26.85).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kalman1D {
     x: f64,
     p: f64,

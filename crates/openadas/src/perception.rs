@@ -6,11 +6,10 @@
 //! stage.
 
 use msgbus::schema::LaneModel;
-use serde::{Deserialize, Serialize};
 use units::{Distance, Speed, DT};
 
 /// Smoothed lane state consumed by the lateral controller.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LaneEstimate {
     /// Smoothed lateral offset from the lane centre (positive left).
     pub offset: Distance,
@@ -32,7 +31,7 @@ pub struct LaneEstimate {
 }
 
 /// Low-pass filter over the `modelV2` stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneProcessor {
     est: LaneEstimate,
     initialized: bool,

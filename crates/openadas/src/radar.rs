@@ -1,13 +1,12 @@
 //! Lead-vehicle tracking from `radarState` samples.
 
 use msgbus::schema::{LeadTrack, RadarState};
-use serde::{Deserialize, Serialize};
 use units::{Accel, Distance, Speed};
 
 use crate::Kalman1D;
 
 /// A smoothed lead estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeadEstimate {
     /// Smoothed gap to the lead.
     pub d_rel: Distance,
@@ -19,7 +18,7 @@ pub struct LeadEstimate {
 
 /// Tracks the primary lead with a pair of scalar Kalman filters, coasting
 /// through short dropouts the way OpenPilot's radard does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeadTracker {
     dist: Option<Kalman1D>,
     speed: Option<Kalman1D>,

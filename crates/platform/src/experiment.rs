@@ -5,13 +5,12 @@ use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use defense::DefensePolicy;
 use driver_model::DriverConfig;
 use driving_sim::Scenario;
-use serde::{Deserialize, Serialize};
 
 use crate::trace::{CampaignMetrics, TraceConfig, TraceRecorder};
 use crate::{Harness, HarnessConfig, HazardParams, SimResult};
 
 /// A full campaign: every attack type over the whole scenario matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// The scheduling strategy.
     pub strategy: StrategyKind,
@@ -347,79 +346,6 @@ where
     crate::pool::submit_catching(cfg.worker_count(n), n, move |i| run(&specs[i]))
 }
 
-/// Maps `f` over `0..n` in parallel, preserving order.
-///
-/// Unlike the campaign runners — which fan out over the persistent pool via
-/// [`run_campaign_cells`] — this is a *scoped* map: `f` may borrow from the
-/// calling stack frame, at the cost of spawning fresh threads per call. Use
-/// it for one-shot generic maps (the lint crate's analysis fan-out); use
-/// the pool for anything campaign-shaped. The worker count comes from
-/// [`RunnerConfig::default`] (i.e. `REPRO_WORKERS` or all cores); use
-/// [`run_parallel_map_with`] to pin it.
-pub fn run_parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_parallel_map_with(RunnerConfig::default(), n, f)
-}
-
-/// [`run_parallel_map`] with an explicit [`RunnerConfig`].
-///
-/// Each worker accumulates `(index, result)` pairs in a thread-local batch
-/// that is merged once at join — no per-item `Mutex`, no per-item
-/// allocation, and a single-worker job degenerates to a plain serial loop
-/// on the calling thread.
-pub fn run_parallel_map_with<T, F>(cfg: RunnerConfig, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = cfg.worker_count(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let batches: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut batch: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        batch.push((i, f(i)));
-                    }
-                    batch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("worker panicked");
-
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for batch in batches {
-        for (i, value) in batch {
-            slots[i] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was claimed by exactly one worker"))
-        .collect()
-}
-
 /// Runs a work list on the persistent pool across all cores, preserving
 /// order.
 pub fn run_parallel(specs: &[RunSpec]) -> Vec<SimResult> {
@@ -534,46 +460,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_empty_job_returns_empty() {
-        let out = run_parallel_map(0, |i| i);
-        assert!(out.is_empty());
-        let out = run_parallel_map_with(RunnerConfig::with_workers(8), 0, |i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_with_fewer_items_than_workers() {
-        let out = run_parallel_map_with(RunnerConfig::with_workers(16), 3, |i| i * 10);
-        assert_eq!(out, vec![0, 10, 20]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_under_a_slow_first_item() {
-        // Item 0 finishes last; its result must still come back first.
-        let out = run_parallel_map_with(RunnerConfig::with_workers(4), 8, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            i as u64
-        });
-        assert_eq!(out, (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn single_worker_equals_serial() {
-        let serial: Vec<usize> = (0..10).map(|i| i * i).collect();
-        let one = run_parallel_map_with(RunnerConfig::with_workers(1), 10, |i| i * i);
-        assert_eq!(one, serial);
-        // An explicit 0 clamps to 1 rather than deadlocking.
-        assert_eq!(RunnerConfig::with_workers(0).worker_count(10), 1);
-    }
-
-    #[test]
     fn worker_count_is_clamped_to_the_job() {
         let cfg = RunnerConfig::with_workers(64);
         assert_eq!(cfg.worker_count(3), 3);
         assert_eq!(cfg.worker_count(0), 1);
         assert_eq!(cfg.worker_count(1000), 64);
+        // An explicit 0 clamps to 1 rather than deadlocking.
+        assert_eq!(RunnerConfig::with_workers(0).worker_count(10), 1);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Aggregation of [`SimResult`]s into the paper's table rows.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{HazardKind, SimResult};
 
 /// Mean and standard deviation of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MeanStd {
     /// Sample mean.
     pub mean: f64,
@@ -32,7 +30,7 @@ pub fn mean_std(samples: &[f64]) -> MeanStd {
 
 /// One row of the paper's Table IV: aggregate outcome of a strategy's
 /// campaign with an alert driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyAggregate {
     /// Strategy label.
     pub label: String,
@@ -100,7 +98,7 @@ impl StrategyAggregate {
 /// campaigns (with an alert driver vs. with an inattentive driver, same
 /// seeds), used to attribute prevented and newly-introduced hazards to the
 /// driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairedAggregate {
     /// Attack-type label.
     pub label: String,

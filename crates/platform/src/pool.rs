@@ -19,11 +19,12 @@
 //! submission deadlock-free: an inner job's submitter drives that job to
 //! completion itself even if every pool worker is busy with the outer one.
 //!
+//! This is the workspace's only parallel runner: the campaigns, campaignd's
+//! supervisor and the lint crate's per-file analysis all fan out here.
+//!
 //! Everything here is safe code — the crate forbids `unsafe`. The price is
 //! a `'static` bound on jobs: callers hand the pool owned state (e.g. an
 //! `Arc<[RunSpec]>`) rather than borrowing from the submitting stack frame.
-//! Borrow-based generic maps (the lint crate's analysis fan-out) stay on
-//! the scoped runner in [`crate::experiment::run_parallel_map_with`].
 //!
 //! Every lock acquisition recovers from poisoning with
 //! [`PoisonError::into_inner`] instead of unwrapping (R12). That is sound

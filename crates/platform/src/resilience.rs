@@ -17,7 +17,6 @@
 use defense::DefensePolicy;
 use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
 use crate::{Harness, HarnessConfig, SimResult};
@@ -119,7 +118,7 @@ pub fn plan_resilience_campaign(cfg: &ResilienceConfig) -> Vec<ResilienceSpec> {
 }
 
 /// Aggregate outcome of one (fault kind, intensity) campaign cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceCell {
     /// Fault-kind label ([`FaultKind::label`]).
     pub fault: String,
@@ -216,7 +215,7 @@ impl ResilienceCell {
 
 /// A full campaign's aggregate: one [`ResilienceCell`] per
 /// (fault kind, intensity), in sweep order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceReport {
     /// Base seed of the campaign.
     pub base_seed: u64,
@@ -231,8 +230,7 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
-    /// Renders the report as deterministic, fixed-precision JSON
-    /// (hand-rolled; the vendored `serde` is an API stub).
+    /// Renders the report as deterministic, fixed-precision JSON.
     pub fn to_json(&self) -> String {
         let cells: Vec<String> = self
             .cells

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A plane angle, stored canonically in radians.
 ///
 /// The paper quotes steering limits in degrees (e.g. `limit_steer = 0.5°`),
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((limit.radians() - 0.00872665).abs() < 1e-6);
 /// assert!((limit.degrees() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Angle(f64);
 
 impl Angle {

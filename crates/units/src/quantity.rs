@@ -4,15 +4,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Conversion factor: one mile per hour expressed in metres per second.
 const MPS_PER_MPH: f64 = 0.44704;
 
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
