@@ -27,11 +27,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use platform::json::escape;
+
 use crate::checkpoint::{fnv64, load_manifest, load_wal, wal_path, Manifest};
 use crate::http::{parse_request, response, stream_head, Parse, Request};
 use crate::spec::JobSpec;
 use crate::supervisor::{run_job, DaemonStats, JobOutcome, JobProgress, SupervisorConfig};
-use crate::wire::{escape, parse_object};
+use crate::wire::parse_object;
 
 /// Daemon-level configuration (the CLI flags, resolved).
 #[derive(Debug, Clone)]
@@ -176,6 +178,13 @@ impl Server {
                             Ok(cells) if cells.len() as u64 == total => {
                                 let results: Vec<_> = cells.into_values().collect();
                                 let report = spec.report(&results);
+                                progress.cells_done.store(total, Ordering::SeqCst);
+                                progress.finish(
+                                    &entry.id,
+                                    &JobOutcome::Completed {
+                                        report: report.clone(),
+                                    },
+                                );
                                 let job = Arc::new(JobState {
                                     id: entry.id.clone(),
                                     spec,
@@ -196,6 +205,14 @@ impl Server {
                     None => JobStatus::Queued,
                 };
                 let queued = status == JobStatus::Queued;
+                if let JobStatus::Failed(reason) = &status {
+                    progress.finish(
+                        &entry.id,
+                        &JobOutcome::Failed {
+                            reason: reason.clone(),
+                        },
+                    );
+                }
                 let job = Arc::new(JobState {
                     id: entry.id.clone(),
                     spec,

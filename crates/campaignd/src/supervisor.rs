@@ -24,13 +24,13 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use platform::experiment::{run_campaign_cells_observed, RunnerConfig};
+use platform::json::escape;
 use platform::pool::{catch_cell, CellPanic};
 use platform::trace::Histogram;
 use platform::SimResult;
 
 use crate::checkpoint::{load_wal, wal_path, WalWriter};
 use crate::spec::{CellSpec, JobSpec};
-use crate::wire::escape;
 
 /// Supervision policy for every job the daemon runs.
 #[derive(Debug, Clone, Copy)]

@@ -1,7 +1,8 @@
 //! Minimal flat-JSON wire codec for the job API.
 //!
 //! Like every report writer in this workspace, campaignd hand-rolls its
-//! JSON with `std` only. Parsing is scoped to
+//! JSON with `std` only (strings go through [`platform::json::escape`]).
+//! Parsing is scoped to
 //! exactly what job submissions need: one flat object whose values are
 //! strings, unsigned integers, booleans, or arrays of `[int, int]` pairs
 //! (the chaos knobs). Anything else is a parse error, not a guess.
@@ -177,26 +178,10 @@ pub fn parse_object(bytes: &[u8]) -> Result<Object, String> {
     Ok(out)
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use platform::json::escape;
 
     #[test]
     fn parses_a_job_submission() {

@@ -149,10 +149,11 @@ pub fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, Strin
 
 /// Reads `GET /jobs/<id>/stream` to its end (the daemon closes the
 /// connection once the job finishes) and returns the NDJSON event lines.
-pub fn stream_to_end(addr: &str, id: &str) -> Vec<String> {
+/// Panics if the stream stays silent for `timeout`.
+pub fn stream_to_end(addr: &str, id: &str, timeout: Duration) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
-        .set_read_timeout(Some(Duration::from_secs(180)))
+        .set_read_timeout(Some(timeout))
         .expect("read timeout");
     stream
         .write_all(format!("GET /jobs/{id}/stream HTTP/1.1\r\n\r\n").as_bytes())

@@ -148,7 +148,7 @@ fn report_is_settled_when_the_stream_ends() {
         let (status, reply) = http(&daemon.addr, "POST", "/jobs", Some(&body));
         assert_eq!(status, 202, "{reply}");
         let id = job_id(&reply);
-        let events = stream_to_end(&daemon.addr, &id);
+        let events = stream_to_end(&daemon.addr, &id, Duration::from_secs(180));
         let last = events.last().expect("stream carried events");
         assert!(
             last.contains(&format!("\"status\": \"{terminal}\"")),
@@ -161,6 +161,46 @@ fn report_is_settled_when_the_stream_ends() {
         );
     }
 
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A job that `--resume` restores as completed or failed is already
+/// terminal, so its stream must replay the terminal event and end rather
+/// than wait for progress that will never come.
+#[test]
+fn resumed_terminal_jobs_end_their_streams() {
+    let state = temp_state("resumed-terminal");
+    let mut daemon = Daemon::launch(&state, &[]);
+    // (chaos knobs, terminal status)
+    let jobs = [
+        ("", "completed"),
+        (r#", "panic_cells": [[0, 1000]]"#, "failed"),
+    ];
+    let mut ids = Vec::new();
+    for (seed, (chaos, terminal)) in jobs.into_iter().enumerate() {
+        let body = format!(
+            "{{\"kind\": \"attack\", \"strategy\": \"context_aware\", \
+\"attack\": \"steering_right\", \"base_seed\": {seed}, \"reps\": 1{chaos}}}"
+        );
+        let (status, reply) = http(&daemon.addr, "POST", "/jobs", Some(&body));
+        assert_eq!(status, 202, "{reply}");
+        let id = job_id(&reply);
+        stream_to_end(&daemon.addr, &id, Duration::from_secs(180));
+        ids.push((id, terminal));
+    }
+    daemon.shutdown();
+
+    let mut daemon = Daemon::launch(&state, &["--resume"]);
+    for (id, terminal) in &ids {
+        let events = stream_to_end(&daemon.addr, id, Duration::from_secs(10));
+        let last = events.last().expect("stream carried the terminal event");
+        assert!(
+            last.contains("\"event\": \"job\"")
+                && last.contains(&format!("\"status\": \"{terminal}\"")),
+            "{id}: {last}"
+        );
+    }
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }

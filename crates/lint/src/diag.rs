@@ -1,5 +1,6 @@
 //! The diagnostic model: rules, severities, and machine-readable output.
 
+use platform::json::escape;
 use std::fmt;
 
 /// The safety invariants adas-lint enforces.
@@ -244,29 +245,12 @@ impl Diagnostic {
             self.rule.id(),
             self.rule.name(),
             self.severity.label(),
-            json_escape(&self.file),
+            escape(&self.file),
             self.line,
-            json_escape(&self.snippet),
-            json_escape(&self.message),
+            escape(&self.snippet),
+            escape(&self.message),
         )
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -281,11 +265,6 @@ mod tests {
             assert_eq!(Rule::parse(&r.id().to_lowercase()), Some(r));
         }
         assert_eq!(Rule::parse("R15"), None);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

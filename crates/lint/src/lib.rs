@@ -35,9 +35,9 @@
 //! abstract interpretation over a lowered IR ([`ir`], [`interval`],
 //! [`absint`]); and the **concurrency/alloc** layer (R12–R14) builds a
 //! lock-order graph and a may-allocate closure over the same call graph
-//! ([`locks`], [`allocpath`]). Per-file work is cached, keyed by content
-//! hash mixed with the scan-configuration fingerprint ([`cache`]), and
-//! fanned out across cores, so warm runs are sub-second.
+//! ([`locks`], [`allocpath`]). Every scan is a fresh scan: each file is
+//! tokenized and parsed once, in parallel across cores, and nothing is
+//! carried over from an earlier run.
 //!
 //! Findings can be acknowledged two ways: an inline
 //! `// adas-lint: allow(<rule>, reason = "…")` comment for sites that are
@@ -53,7 +53,6 @@
 pub mod absint;
 pub mod allocpath;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod diag;
 pub mod interval;
@@ -87,20 +86,14 @@ const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", ".github", "fixtures"]
 /// Knobs for a workspace scan.
 #[derive(Debug, Clone)]
 pub struct ScanOptions {
-    /// Whether to read/write the per-file facts cache.
-    pub use_cache: bool,
-    /// Cache directory; `None` means [`default_cache_dir`].
-    pub cache_dir: Option<PathBuf>,
     /// Active rules; findings for other rules are not computed or
-    /// reported. Part of the cache key — see [`cache::scan_key`].
+    /// reported.
     pub rules: Vec<Rule>,
 }
 
 impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
-            use_cache: true,
-            cache_dir: None,
             rules: ALL_RULES.to_vec(),
         }
     }
@@ -110,7 +103,7 @@ impl ScanOptions {
     /// Whether every rule is active (subset scans skip the dead-suppression
     /// and stale-baseline checks, which only a full scan can judge).
     fn full_rule_set(&self) -> bool {
-        cache::config_fingerprint(&self.rules) == cache::config_fingerprint(&ALL_RULES)
+        ALL_RULES.iter().all(|r| self.rules.contains(r))
     }
 
     fn semantic_active(&self) -> bool {
@@ -143,8 +136,6 @@ pub struct ScanReport {
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// How many files were served from the facts cache.
-    pub cache_hits: usize,
     /// Baseline entries that matched nothing (stale).
     pub unused_baseline: Vec<BaselineEntry>,
     /// Inline suppressions that absorbed nothing (dead), as warnings.
@@ -174,56 +165,19 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Scans an in-memory multi-file set: per-file rules, the cross-file
-/// R6/R7 analyses with the permissive crate closure (every crate sees
-/// every other — there are no manifests to consult), and the semantic
-/// R9–R11 layer over the files its scope covers. Inline suppressions are
-/// honored, no baseline. This is how the fixture tests drive the
-/// workspace rules without a workspace on disk.
+/// Scans an in-memory multi-file set through the same pipeline as
+/// [`scan_workspace_with`], with every rule active, the permissive crate
+/// closure (every crate sees every other — there are no manifests to
+/// consult), and no baseline. Returns the active findings: inline
+/// suppressions are honored, and dead suppressions are not reported. This
+/// is how the fixture tests drive the workspace rules without a workspace
+/// on disk.
 pub fn scan_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let mut parsed: Vec<(FileInfo, parser::FileFacts)> = Vec::new();
-    let mut tokenized: Vec<tokenizer::SourceFile> = Vec::new();
-    let mut semfiles: Vec<absint::SemFile> = Vec::new();
-    let mut out: Vec<Diagnostic> = Vec::new();
-    for (rel, text) in sources {
-        let info = classify(rel);
-        let file = tokenizer::tokenize(text);
-        let facts = parser::parse(&file);
-        out.extend(
-            rules::local_rules(&info, &file, &facts)
-                .into_iter()
-                .filter(|d| !file.is_suppressed(d.line, d.rule)),
-        );
-        if scope::needs_ir(&info) {
-            semfiles.push(absint::SemFile::new(
-                info.rel.clone(),
-                tokenizer::tokenize(text),
-                scope::r9_applies(&info),
-                scope::r11_applies(&info),
-            ));
-        }
-        parsed.push((info, facts));
-        tokenized.push(file);
-    }
-    let table = symbols::SymbolTable::build(&parsed, None);
-    let graph = callgraph::CallGraph::build(&parsed, &table);
-    let mut ws = taint::r6_taint_flow(&table, &graph);
-    ws.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
-    ws.extend(absint::semantic_rules(&semfiles));
-    let (conc, _lock_graph) = locks::concurrency_rules(&parsed, &table, &graph);
-    ws.extend(conc);
-    ws.extend(allocpath::r13_alloc_freedom(&parsed, &table, &graph));
-    for d in ws {
-        let suppressed = parsed
-            .iter()
-            .position(|(info, _)| info.rel == d.file)
-            .is_some_and(|i| tokenized[i].is_suppressed(d.line, d.rule));
-        if !suppressed {
-            out.push(d);
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    out
+    let texts = sources
+        .iter()
+        .map(|(rel, text)| (rel.to_string(), text.to_string()))
+        .collect();
+    scan_texts(texts, None, None, &ScanOptions::default()).active
 }
 
 /// Collects every scannable `.rs` file under `root`, workspace-relative,
@@ -251,107 +205,84 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Default facts-cache location, under the Cargo target dir so `cargo
-/// clean` clears it too.
-pub fn default_cache_dir(root: &Path) -> PathBuf {
-    root.join("target").join("adas-lint-cache")
-}
-
-/// Scans the whole workspace with default options (cache on, parallel).
+/// Scans the whole workspace with every rule active.
 pub fn scan_workspace(root: &Path, baseline: Option<Baseline>) -> io::Result<ScanReport> {
     scan_workspace_with(root, baseline, &ScanOptions::default())
 }
 
-/// Scans the whole workspace: per-file rules (cached, parallel), then the
-/// cross-file R6/R7 analyses over the assembled symbol table and call
-/// graph, then suppression/baseline resolution with dead-entry detection.
+/// Scans the whole workspace: reads every file [`collect_files`] finds,
+/// resolves each crate's dependency closure from the manifests, and runs
+/// the scan pipeline over them.
 pub fn scan_workspace_with(
     root: &Path,
-    mut baseline: Option<Baseline>,
+    baseline: Option<Baseline>,
     opts: &ScanOptions,
 ) -> io::Result<ScanReport> {
-    let rels = collect_files(root)?;
-    let cache_dir = opts
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| default_cache_dir(root));
-    let cfg = cache::config_fingerprint(&opts.rules);
+    let texts = collect_files(root)?
+        .into_iter()
+        .map(|rel| {
+            let source = fs::read_to_string(root.join(&rel))?;
+            Ok((rel, source))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    let deps = symbols::workspace_deps(root);
+    Ok(scan_texts(texts, Some(&deps), baseline, opts))
+}
+
+/// The scan pipeline over `(workspace-relative path, source)` pairs:
+/// per-file rules in parallel, then the cross-file analyses over the
+/// merged facts, then suppression/baseline resolution with dead-entry
+/// detection. `deps` is each crate's dependency closure; `None` lets every
+/// crate see every other.
+fn scan_texts(
+    texts: Vec<(String, String)>,
+    deps: Option<&HashMap<String, Vec<String>>>,
+    mut baseline: Option<Baseline>,
+    opts: &ScanOptions,
+) -> ScanReport {
     let sem_active = opts.semantic_active();
 
-    // Phase 1: per-file analysis — tokenize/parse/local rules, or a cache
-    // hit keyed by content hash mixed with the scan configuration. Pure
-    // per-file work, so it fans out. Semantic IR lowering rides along here
-    // (it is also pure per-file work) but is cache-*independent*: the IR
-    // holds borrows-free trees that are cheap to rebuild and expensive to
-    // serialize, and the whole-program phase re-reads them every run
-    // anyway — caching them could only add a staleness channel.
-    // The pool's jobs are `'static`, so the closure owns its inputs.
-    type PerFile = (FileInfo, cache::FileAnalysis, bool, Option<absint::SemFile>);
-    let n = rels.len();
-    let rels: Arc<[String]> = rels.into();
-    let file_root = root.to_path_buf();
-    let use_cache = opts.use_cache;
-    let rules = opts.rules.clone();
-    let analyze = move |i: usize| -> io::Result<PerFile> {
-        let rel = &rels[i];
-        let source = fs::read_to_string(file_root.join(rel))?;
+    // Phase 1: per-file analysis — tokenize/parse/local rules, plus the
+    // semantic IR lowering over the same tokens. Pure per-file work, so it
+    // fans out. The pool's jobs are `'static`, so the closure owns its
+    // inputs.
+    type PerFile = (FileInfo, rules::FileAnalysis, Option<absint::SemFile>);
+    let n = texts.len();
+    let texts: Arc<[(String, String)]> = texts.into();
+    let active = opts.rules.clone();
+    let analyze = move |i: usize| -> PerFile {
+        let (rel, source) = &texts[i];
         let info = classify(rel);
-        let key = cache::scan_key(cache::content_hash(source.as_bytes()), cfg);
+        let (mut a, src) = rules::analyze_file(&info, source);
+        a.raw_diags.retain(|d| active.contains(&d.rule));
         let sem = (sem_active && scope::needs_ir(&info)).then(|| {
             absint::SemFile::new(
                 rel.clone(),
-                tokenizer::tokenize(&source),
+                src,
                 scope::r9_applies(&info),
                 scope::r11_applies(&info),
             )
         });
-        if use_cache {
-            if let Some(a) = cache::load(&cache_dir, rel, key) {
-                return Ok((info, a, true, sem));
-            }
-        }
-        let mut a = rules::analyze_file(&info, &source);
-        a.raw_diags.retain(|d| rules.contains(&d.rule));
-        if use_cache {
-            cache::store(&cache_dir, rel, key, &a);
-        }
-        Ok((info, a, false, sem))
+        (info, a, sem)
     };
     let workers = RunnerConfig::default().worker_count(n);
-    let results: Vec<io::Result<PerFile>> = platform::pool::run_indexed(workers, n, analyze);
+    let results: Vec<PerFile> = platform::pool::run_indexed(workers, n, analyze);
 
-    let mut report = ScanReport::default();
-    let mut analyses: Vec<(FileInfo, cache::FileAnalysis)> = Vec::with_capacity(results.len());
+    let mut report = ScanReport {
+        files_scanned: n,
+        ..ScanReport::default()
+    };
+    let mut files: Vec<(FileInfo, parser::FileFacts)> = Vec::with_capacity(n);
+    let mut analyses: Vec<rules::FileAnalysis> = Vec::with_capacity(n);
     let mut semfiles: Vec<absint::SemFile> = Vec::new();
-    for r in results {
-        let (info, a, hit, sem) = r?;
-        report.files_scanned += 1;
-        if hit {
-            report.cache_hits += 1;
-        }
-        if let Some(s) = sem {
-            semfiles.push(s);
-        }
-        analyses.push((info, a));
+    for (info, mut a, sem) in results {
+        files.push((info, std::mem::take(&mut a.facts)));
+        analyses.push(a);
+        semfiles.extend(sem);
     }
 
-    // Phase 2: workspace rules over the merged facts. Cheap (graph walks),
-    // so it always recomputes — the cache can never stale a cross-file
-    // result.
-    let files: Vec<(FileInfo, parser::FileFacts)> = analyses
-        .iter()
-        .map(|(info, a)| {
-            (
-                info.clone(),
-                parser::FileFacts {
-                    fns: a.fns.clone(),
-                    ..parser::FileFacts::default()
-                },
-            )
-        })
-        .collect();
-    let deps = symbols::workspace_deps(root);
-    let table = symbols::SymbolTable::build(&files, Some(&deps));
+    // Phase 2: workspace rules over the merged facts.
+    let table = symbols::SymbolTable::build(&files, deps);
     let graph = callgraph::CallGraph::build(&files, &table);
     let mut workspace_diags = taint::r6_taint_flow(&table, &graph);
     workspace_diags.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
@@ -368,9 +299,9 @@ pub fn scan_workspace_with(
 
     // Phase 3: suppression and baseline resolution, tracking which
     // suppressions actually earned their keep.
-    let mut sites: Vec<(String, cache::SuppressionSite, bool)> = Vec::new();
+    let mut sites: Vec<(String, rules::SuppressionSite, bool)> = Vec::new();
     let mut sites_by_file: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (info, a) in &analyses {
+    for ((info, _), a) in files.iter().zip(&analyses) {
         for s in &a.suppressions {
             sites_by_file
                 .entry(info.rel.as_str())
@@ -381,8 +312,8 @@ pub fn scan_workspace_with(
     }
 
     let mut candidates: Vec<Diagnostic> = analyses
-        .iter()
-        .flat_map(|(_, a)| a.raw_diags.iter().cloned())
+        .into_iter()
+        .flat_map(|a| a.raw_diags)
         .collect();
     candidates.extend(workspace_diags);
     for d in candidates {
@@ -449,7 +380,7 @@ pub fn scan_workspace_with(
     report
         .dead_suppressions
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
+    report
 }
 
 /// Default baseline location: `lint-baseline.txt` at the workspace root.

@@ -46,7 +46,7 @@ USAGE:
     adas-lint [--root DIR] [--format human|json|sarif] [--baseline FILE]
               [--no-baseline] [--write-baseline] [--list-rules] [--list-files]
               [--rules R1,R2,...] [--sarif-out FILE] [--lock-graph-dot FILE]
-              [--no-cache] [--cache-dir DIR] [--timings]
+              [--timings]
 
 OPTIONS:
     --root DIR         Workspace root to scan (default: auto-detected)
@@ -62,9 +62,7 @@ OPTIONS:
     --sarif-out FILE   Additionally write a SARIF 2.1.0 report to FILE
     --lock-graph-dot FILE
                        Write the R12 lock-order graph as GraphViz DOT to FILE
-    --no-cache         Bypass the per-file facts cache (cold scan)
-    --cache-dir DIR    Facts cache dir (default: <root>/target/adas-lint-cache)
-    --timings          Print scan wall-time and cache statistics to stderr
+    --timings          Print scan wall-time to stderr
 ";
 
 fn parse_args() -> Result<Options, String> {
@@ -126,11 +124,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--rules needs at least one rule id".to_string());
                 }
                 opts.scan.rules = rules;
-            }
-            "--no-cache" => opts.scan.use_cache = false,
-            "--cache-dir" => {
-                opts.scan.cache_dir =
-                    Some(PathBuf::from(args.next().ok_or("--cache-dir needs a value")?));
             }
             "--timings" => opts.timings = true,
             "--help" | "-h" => {
@@ -246,15 +239,9 @@ fn main() -> ExitCode {
 
     if opts.timings {
         eprintln!(
-            "adas-lint: scan took {:.1} ms ({}/{} files from cache, {})",
+            "adas-lint: scan took {:.1} ms ({} files)",
             elapsed.as_secs_f64() * 1e3,
-            report.cache_hits,
             report.files_scanned,
-            if opts.scan.use_cache {
-                "cache on"
-            } else {
-                "cache off"
-            },
         );
     }
 
@@ -292,17 +279,16 @@ fn main() -> ExitCode {
                     format!(
                         "{{\"rule\":\"{}\",\"file\":\"{}\",\"snippet\":\"{}\"}}",
                         e.rule.id(),
-                        adas_lint::diag::json_escape(&e.file),
-                        adas_lint::diag::json_escape(&e.snippet)
+                        platform::json::escape(&e.file),
+                        platform::json::escape(&e.snippet)
                     )
                 })
                 .collect();
             println!(
-                "{{\"version\":2,\"diagnostics\":[{}],\"unused_baseline\":[{}],\"summary\":{{\"files_scanned\":{},\"cache_hits\":{},\"active\":{},\"dead_suppressions\":{},\"baselined\":{},\"suppressed\":{}}}}}",
+                "{{\"version\":3,\"diagnostics\":[{}],\"unused_baseline\":[{}],\"summary\":{{\"files_scanned\":{},\"active\":{},\"dead_suppressions\":{},\"baselined\":{},\"suppressed\":{}}}}}",
                 diags.join(","),
                 unused.join(","),
                 report.files_scanned,
-                report.cache_hits,
                 report.active.len(),
                 report.dead_suppressions.len(),
                 report.baselined,
@@ -322,9 +308,8 @@ fn main() -> ExitCode {
                 );
             }
             println!(
-                "adas-lint: {} files scanned ({} cached), {} active finding(s), {} dead suppression(s), {} stale baseline entr(ies), {} baselined, {} suppressed",
+                "adas-lint: {} files scanned, {} active finding(s), {} dead suppression(s), {} stale baseline entr(ies), {} baselined, {} suppressed",
                 report.files_scanned,
-                report.cache_hits,
                 report.active.len(),
                 report.dead_suppressions.len(),
                 report.unused_baseline.len(),

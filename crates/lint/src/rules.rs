@@ -13,7 +13,6 @@
 //! tracks which suppressions actually absorbed something — a dead
 //! `allow(...)` is itself a finding.
 
-use crate::cache::{FileAnalysis, SuppressionSite};
 use crate::diag::{Diagnostic, Rule, Severity};
 use crate::parser::FileFacts;
 use crate::scope::FileInfo;
@@ -48,10 +47,31 @@ pub fn local_rules(info: &FileInfo, src: &SourceFile, facts: &FileFacts) -> Vec<
     out
 }
 
-/// Tokenizes + parses + rules one file into the cacheable analysis record:
-/// raw local findings, suppression sites, and the function/enum facts the
-/// workspace rules (R6/R7) need.
-pub fn analyze_file(info: &FileInfo, source: &str) -> FileAnalysis {
+/// One inline suppression site, as the workspace pass needs it.
+#[derive(Debug, Clone)]
+pub struct SuppressionSite {
+    /// 1-based line the suppression applies to.
+    pub line: usize,
+    /// Covered rules; empty means all.
+    pub rules: Vec<Rule>,
+}
+
+/// Everything the workspace pass needs from one file.
+#[derive(Debug)]
+pub struct FileAnalysis {
+    /// Raw local findings (R1–R5, R8, R12, R14), before suppression
+    /// filtering.
+    pub raw_diags: Vec<Diagnostic>,
+    /// Inline suppression sites, sorted by line.
+    pub suppressions: Vec<SuppressionSite>,
+    /// The parsed facts the workspace rules (R6/R7, R12–R14) consume.
+    pub facts: FileFacts,
+}
+
+/// Tokenizes + parses + rules one file: raw local findings, suppression
+/// sites, and the parsed facts. Also returns the tokenized source, so the
+/// semantic layer can lower it without tokenizing the file again.
+pub fn analyze_file(info: &FileInfo, source: &str) -> (FileAnalysis, SourceFile) {
     let src = crate::tokenizer::tokenize(source);
     let facts = crate::parser::parse(&src);
     let raw_diags = local_rules(info, &src, &facts);
@@ -66,25 +86,12 @@ pub fn analyze_file(info: &FileInfo, source: &str) -> FileAnalysis {
         })
         .collect();
     suppressions.sort_by(|a, b| (a.line, &a.rules).cmp(&(b.line, &b.rules)));
-    let fns = facts
-        .fns
-        .into_iter()
-        .map(|mut f| {
-            // Field facts are only consumed at parse time; dropping them
-            // keeps cache entries small. Macros and lock events survive —
-            // the workspace concurrency/alloc layer (R12–R14) reads them
-            // from the cache on warm runs.
-            f.fields = Vec::new();
-            f
-        })
-        .collect();
-    let enums = facts.enums.into_iter().map(|e| e.name).collect();
-    FileAnalysis {
+    let analysis = FileAnalysis {
         raw_diags,
         suppressions,
-        fns,
-        enums,
-    }
+        facts,
+    };
+    (analysis, src)
 }
 
 fn diag(rule: Rule, info: &FileInfo, line_idx: usize, snippet: &str, message: String) -> Diagnostic {

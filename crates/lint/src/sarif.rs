@@ -14,7 +14,8 @@
 //! an emitter regression fails the lint itself rather than surfacing as a
 //! cryptic upload error in CI.
 
-use crate::diag::{json_escape, Diagnostic, Severity, ALL_RULES};
+use crate::diag::{Diagnostic, Severity, ALL_RULES};
+use platform::json::escape;
 use std::collections::BTreeMap;
 
 /// SARIF schema the document declares.
@@ -37,7 +38,7 @@ pub fn emit(diags: &[Diagnostic]) -> String {
         out.push_str(&format!("              \"name\": \"{}\",\n", rule.name()));
         out.push_str(&format!(
             "              \"shortDescription\": {{ \"text\": \"{}\" }}\n",
-            json_escape(rule.summary())
+            escape(rule.summary())
         ));
         out.push_str(if i + 1 < ALL_RULES.len() {
             "            },\n"
@@ -66,13 +67,13 @@ pub fn emit(diags: &[Diagnostic]) -> String {
         out.push_str(&format!("          \"level\": \"{level}\",\n"));
         out.push_str(&format!(
             "          \"message\": {{ \"text\": \"{}\" }},\n",
-            json_escape(&d.message)
+            escape(&d.message)
         ));
         out.push_str("          \"locations\": [\n            {\n");
         out.push_str("              \"physicalLocation\": {\n");
         out.push_str(&format!(
             "                \"artifactLocation\": {{ \"uri\": \"{}\" }},\n",
-            json_escape(&d.file)
+            escape(&d.file)
         ));
         out.push_str(&format!(
             "                \"region\": {{ \"startLine\": {} }}\n",

@@ -36,6 +36,7 @@ pub mod experiment;
 pub mod figures;
 mod harness;
 mod hazard;
+pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod report;
