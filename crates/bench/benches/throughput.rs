@@ -5,23 +5,28 @@
 //! The workload is a scaled Context-Aware campaign (the paper's headline
 //! strategy) over all six attack types — the exact hot path the msgbus
 //! ring, the allocation-free tick loop and the batched campaign runner
-//! optimize. Serial runs through the single-worker fast path of the
-//! campaign runner; parallel fans out over the persistent worker pool
-//! (`REPRO_WORKERS` or all cores); batched steps every lane in lockstep
-//! through one single-threaded [`BatchHarness`], the per-core ceiling.
-//! All three passes must produce bit-identical results.
+//! optimize. Serial steps every run through the scalar [`Harness`] on the
+//! calling thread: the bus-path oracle, deliberately not the campaign
+//! runner, whose cells take the fused tick. Parallel is the campaign
+//! runner itself, fanning cells out over the persistent worker pool
+//! (`REPRO_WORKERS` or all cores), each cell a one-lane fused run through
+//! [`platform::simulate`]; batched steps every lane in lockstep through
+//! one single-threaded [`BatchHarness`]. So `batched_speedup` measures
+//! the fused tick against the scalar one on one thread, and `speedup`
+//! the campaign runner (fused tick × pool) against the scalar tick. All
+//! three passes must produce bit-identical results.
 //!
 //! Run with e.g. `REPRO_SCALE=20 cargo bench -p bench --bench throughput`.
 //! No wall-clock gating anywhere: the JSON records `cores` and `workers`
-//! so speedup expectations (≥ 2× on ≥ 4 cores) stay machine-checkable
-//! without failing on small CI boxes.
+//! so speedup expectations stay machine-checkable without failing on
+//! small CI boxes.
 
 use attack_core::StrategyKind;
 use bench::{scale_divisor, scaled_reps, write_artifact};
 use platform::experiment::{
-    detected_cores, plan_attack_campaign, run_parallel_with, CampaignConfig, RunnerConfig, RunSpec,
+    detected_cores, plan_attack_campaign, run_parallel_with, CampaignConfig, RunnerConfig,
 };
-use platform::{BatchHarness, SimResult, TraceConfig};
+use platform::{BatchHarness, Harness, SimResult, TraceConfig};
 use units::STEPS_PER_SIM;
 
 /// One timed pass over the work list.
@@ -31,11 +36,13 @@ struct Pass {
     ticks_per_sec: f64,
 }
 
-fn timed(cfg: RunnerConfig, specs: &[RunSpec]) -> (Pass, Vec<SimResult>) {
+/// Times one pass over the `sims` runs that `run` performs, construction
+/// of its harnesses included.
+fn timed(sims: usize, run: impl FnOnce() -> Vec<SimResult>) -> (Pass, Vec<SimResult>) {
     let t0 = std::time::Instant::now();
-    let results = run_parallel_with(cfg, specs);
+    let results = run();
     let seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    let sims = specs.len() as f64;
+    let sims = sims as f64;
     let ticks = sims * STEPS_PER_SIM as f64;
     (
         Pass {
@@ -44,32 +51,6 @@ fn timed(cfg: RunnerConfig, specs: &[RunSpec]) -> (Pass, Vec<SimResult>) {
             ticks_per_sec: ticks / seconds,
         },
         results,
-    )
-}
-
-/// One timed pass over the work list as a single SoA batch, including the
-/// batch build — the apples-to-apples counterpart of `timed`, which also
-/// constructs its harnesses inside the window.
-fn timed_batched(specs: &[RunSpec]) -> (Pass, Vec<SimResult>, usize, usize) {
-    let t0 = std::time::Instant::now();
-    let mut batch = BatchHarness::new();
-    for s in specs {
-        batch.admit(s.harness_config(TraceConfig::disabled()));
-    }
-    let (fast, exact) = (batch.fast_lanes(), batch.exact_lanes());
-    let results = batch.run();
-    let seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    let sims = specs.len() as f64;
-    let ticks = sims * STEPS_PER_SIM as f64;
-    (
-        Pass {
-            seconds,
-            sims_per_sec: sims / seconds,
-            ticks_per_sec: ticks / seconds,
-        },
-        results,
-        fast,
-        exact,
     )
 }
 
@@ -98,18 +79,33 @@ fn main() {
     let cores = detected_cores();
     let workers = RunnerConfig::default().worker_count(specs.len());
 
-    let (serial, serial_results) = timed(RunnerConfig::with_workers(1), &specs);
+    let (serial, serial_results) = timed(specs.len(), || {
+        specs
+            .iter()
+            .map(|s| Harness::new(s.harness_config(TraceConfig::disabled())).run())
+            .collect()
+    });
     println!(
-        "  serial:   {:.2}s  {:.1} sims/s  {:.0} ticks/s",
+        "  serial:   {:.2}s  {:.1} sims/s  {:.0} ticks/s  (scalar Harness, 1 thread)",
         serial.seconds, serial.sims_per_sec, serial.ticks_per_sec
     );
-    let (parallel, parallel_results) = timed(RunnerConfig::default(), &specs);
+    let (parallel, parallel_results) = timed(specs.len(), || {
+        run_parallel_with(RunnerConfig::default(), &specs)
+    });
     println!(
         "  parallel: {:.2}s  {:.1} sims/s  {:.0} ticks/s  ({workers} workers, {cores} cores)",
         parallel.seconds, parallel.sims_per_sec, parallel.ticks_per_sec
     );
 
-    let (batched, batched_results, fast_lanes, exact_lanes) = timed_batched(&specs);
+    let (mut fast_lanes, mut exact_lanes) = (0, 0);
+    let (batched, batched_results) = timed(specs.len(), || {
+        let mut batch = BatchHarness::new();
+        for s in &specs {
+            batch.admit(s.harness_config(TraceConfig::disabled()));
+        }
+        (fast_lanes, exact_lanes) = (batch.fast_lanes(), batch.exact_lanes());
+        batch.run()
+    });
     let batched_speedup = serial.seconds / batched.seconds;
     println!(
         "  batched:  {:.2}s  {:.1} sims/s  {:.0} ticks/s  ({fast_lanes} fast + {exact_lanes} exact lanes, 1 thread)",

@@ -167,7 +167,7 @@ impl Server {
                 let Ok(spec) = JobSpec::from_object(&obj) else {
                     continue;
                 };
-                let total = spec.plan().len() as u64;
+                let total = spec.cell_count();
                 let progress = Arc::new(JobProgress::new(total));
                 let status = match entry.done.as_deref() {
                     Some("completed") => {
@@ -547,7 +547,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         }
     }
 
-    let total = spec.plan().len() as u64;
+    let total = spec.cell_count();
     let job = Arc::new(JobState {
         id: id.clone(),
         spec,

@@ -11,11 +11,14 @@
 
 use attack_core::{AttackType, StrategyKind};
 use defense::DefensePolicy;
+use driving_sim::Scenario;
+use faultinj::FaultKind;
 use platform::experiment::{detected_cores, plan_attack_campaign, CampaignConfig, RunSpec};
 use platform::resilience::{
     aggregate_resilience_results, plan_resilience_campaign, ResilienceConfig, ResilienceSpec,
+    INTENSITIES,
 };
-use platform::SimResult;
+use platform::{HarnessConfig, SimResult, TraceConfig};
 
 use crate::wire::{Object, Value};
 
@@ -68,6 +71,12 @@ impl ChaosKnobs {
     }
 }
 
+/// The most cells one job may plan. [`JobSpec::from_object`] rejects a
+/// larger job, so a submission can never make the daemon build (and
+/// `--resume` rebuild) an unbounded plan. It is about seven times the
+/// paper's largest campaign, Random-ST+DUR's 14,400 runs.
+pub const MAX_JOB_CELLS: u64 = 100_000;
+
 /// A submitted job: campaign family, seeding, and chaos knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -91,12 +100,17 @@ pub enum CellSpec {
 }
 
 impl CellSpec {
-    /// Executes the cell.
-    pub fn run(&self) -> SimResult {
+    /// The harness configuration of the cell (untraced).
+    pub fn harness_config(&self) -> HarnessConfig {
         match self {
-            CellSpec::Attack(spec) => spec.run(),
-            CellSpec::Resilience(spec) => spec.run(),
+            CellSpec::Attack(spec) => spec.harness_config(TraceConfig::disabled()),
+            CellSpec::Resilience(spec) => spec.harness_config(),
         }
+    }
+
+    /// Executes the cell, through [`platform::simulate`].
+    pub fn run(&self) -> SimResult {
+        platform::simulate(self.harness_config())
     }
 }
 
@@ -201,12 +215,32 @@ impl JobSpec {
                 .map(|(i, ms)| (i as usize, ms))
                 .collect(),
         };
-        Ok(Self {
+        let spec = Self {
             kind,
             base_seed: uint_field(obj, "base_seed", 7)?,
             reps,
             chaos,
-        })
+        };
+        let cells = spec.cell_count();
+        if cells > MAX_JOB_CELLS {
+            return Err(format!(
+                "job has {cells} cells, more than the {MAX_JOB_CELLS} a job may have"
+            ));
+        }
+        Ok(spec)
+    }
+
+    /// The number of cells [`plan`](Self::plan) expands to, computed
+    /// without building the plan.
+    pub fn cell_count(&self) -> u64 {
+        let per_rep = match self.kind {
+            // `plan` uses `CampaignConfig::smoke`: one draw per repetition.
+            JobKind::Attack { .. } => Scenario::matrix().len(),
+            JobKind::Resilience { .. } => {
+                FaultKind::ALL.len() * INTENSITIES.len() * Scenario::matrix().len()
+            }
+        };
+        per_rep as u64 * u64::from(self.reps)
     }
 
     /// Canonical single-line encoding: deterministic field order, parses
@@ -380,6 +414,47 @@ mod tests {
         let report = spec.report(&results);
         assert!(report.contains("\"bench\": \"resilience\""));
         assert!(report.ends_with("}\n"));
+    }
+
+    #[test]
+    fn cells_match_the_scalar_harness() {
+        // `CellSpec::run` goes through `platform::simulate`: attack cells
+        // on the fused one-lane batch, faulted resilience cells on the
+        // scalar harness. Both must equal the scalar oracle.
+        for body in [
+            &br#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration_steering", "base_seed": 3}"#[..],
+            br#"{"kind": "attack", "strategy": "random_dur", "attack": "deceleration", "base_seed": 4}"#,
+            br#"{"kind": "resilience", "defense": "off", "base_seed": 5}"#,
+        ] {
+            let spec = JobSpec::from_object(&parse_object(body).unwrap()).unwrap();
+            for cell in spec.plan().iter().step_by(7) {
+                let oracle = platform::Harness::new(cell.harness_config()).run();
+                assert_eq!(cell.run(), oracle, "{cell:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cell_count_is_the_plan_length_and_caps_the_job() {
+        for body in [
+            &br#"{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": 3}"#[..],
+            br#"{"kind": "resilience", "reps": 2}"#,
+        ] {
+            let spec = JobSpec::from_object(&parse_object(body).unwrap()).unwrap();
+            assert_eq!(spec.cell_count(), spec.plan().len() as u64);
+        }
+        let huge = parse_object(br#"{"kind": "resilience", "reps": 4294967295}"#).unwrap();
+        let err = JobSpec::from_object(&huge).unwrap_err();
+        assert!(err.contains(&MAX_JOB_CELLS.to_string()), "{err}");
+        let attack_job = |reps: u64| {
+            let body = format!(
+                r#"{{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": {reps}}}"#
+            );
+            JobSpec::from_object(&parse_object(body.as_bytes()).unwrap())
+        };
+        let most = MAX_JOB_CELLS / 12;
+        assert_eq!(attack_job(most).unwrap().cell_count(), most * 12);
+        assert!(attack_job(most + 1).is_err());
     }
 
     #[test]

@@ -99,6 +99,30 @@ impl DaemonStats {
     }
 }
 
+/// One entry of a job's NDJSON event log.
+///
+/// The daemon keeps every job's log for the life of the process, so a
+/// finished job's stream can replay it. A first-try cell success, the bulk
+/// of every log, is therefore kept as its index and attempt and rendered
+/// only when streamed; a formatted line would cost several times more per
+/// cell, and the daemon's memory would grow with every cell it completes.
+#[derive(Debug)]
+enum Event {
+    CellOk { idx: usize, attempt: u32 },
+    Line(String),
+}
+
+impl Event {
+    fn render(&self) -> String {
+        match self {
+            Event::CellOk { idx, attempt } => format!(
+                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"ok\", \"attempt\": {attempt}}}"
+            ),
+            Event::Line(line) => line.clone(),
+        }
+    }
+}
+
 /// Live progress of one job: counters for `/jobs/<id>`, the NDJSON event
 /// log for `/jobs/<id>/stream`, and the wakeup for blocked streamers.
 #[derive(Debug)]
@@ -111,7 +135,7 @@ pub struct JobProgress {
     pub retries: AtomicU64,
     /// Quarantined cell indices.
     pub quarantined: Mutex<Vec<usize>>,
-    events: Mutex<Vec<String>>,
+    events: Mutex<Vec<Event>>,
     events_cv: Condvar,
     /// Set once the job reaches a terminal state (or is interrupted).
     pub finished: AtomicBool,
@@ -133,9 +157,18 @@ impl JobProgress {
 
     /// Appends one NDJSON event line and wakes streaming subscribers.
     pub fn push_event(&self, line: String) {
+        self.record(Event::Line(line));
+    }
+
+    /// Appends the `cell` event of a cell that succeeded on `attempt`.
+    pub fn push_cell_ok(&self, idx: usize, attempt: u32) {
+        self.record(Event::CellOk { idx, attempt });
+    }
+
+    fn record(&self, event: Event) {
         let mut guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         // adas-lint: allow(R14, reason = "the event log is an arrival-ordered journal by contract; campaign results merge by index in the WAL and result slots, never through this log")
-        guard.push(line);
+        guard.push(event);
         drop(guard);
         self.events_cv.notify_all();
     }
@@ -179,7 +212,12 @@ impl JobProgress {
                 .unwrap_or_else(PoisonError::into_inner);
             guard = reacquired;
         }
-        let fresh = guard.get(seen..).unwrap_or_default().to_vec();
+        let fresh = guard
+            .get(seen..)
+            .unwrap_or_default()
+            .iter()
+            .map(Event::render)
+            .collect();
         drop(guard);
         (fresh, self.finished.load(Ordering::SeqCst))
     }
@@ -342,10 +380,7 @@ pub fn run_job(
                         hook_progress.cells_done.fetch_add(1, Ordering::SeqCst);
                         hook_stats.cells_done.fetch_add(1, Ordering::SeqCst);
                         hook_stats.record_cell_seconds(*secs);
-                        hook_progress.push_event(format!(
-                            "{{\"event\": \"cell\", \"idx\": {gi}, \"status\": \"ok\", \
-\"attempt\": {attempt}}}"
-                        ));
+                        hook_progress.push_cell_ok(gi, *attempt);
                     }
                     Err(panic) => {
                         hook_progress.push_event(format!(
@@ -575,6 +610,15 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(progress.retries.load(Ordering::SeqCst) >= 3);
+        // The stream renders a compactly stored first-try success exactly
+        // like the formatted lines around it.
+        let (events, _) = progress.wait_events(0, Duration::ZERO);
+        for line in [
+            r#"{"event": "cell", "idx": 0, "status": "ok", "attempt": 1}"#,
+            r#"{"event": "cell", "idx": 3, "status": "retry_ok", "attempt": 2}"#,
+        ] {
+            assert!(events.iter().any(|e| e == line), "{line} not in {events:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

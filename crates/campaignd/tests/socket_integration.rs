@@ -8,6 +8,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use campaignd::checkpoint::Manifest;
+use campaignd::spec::MAX_JOB_CELLS;
 use common::{http, job_id, read_response, stream_to_end, temp_state, wait_for_status, Daemon};
 use platform::experiment::RunnerConfig;
 use platform::resilience::{run_resilience_campaign_with, ResilienceConfig};
@@ -201,6 +203,45 @@ fn resumed_terminal_jobs_end_their_streams() {
             "{id}: {last}"
         );
     }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A job bigger than `MAX_JOB_CELLS` is refused with 400 before it reaches
+/// the queue or the manifest, so it can neither make the daemon build its
+/// plan nor come back on `--resume`. A manifest that already holds one
+/// (written before the cap existed) resumes without it.
+#[test]
+fn oversized_jobs_are_rejected_and_the_daemon_stays_up() {
+    let state = temp_state("oversized");
+    let mut daemon = Daemon::launch(&state, &[]);
+    let huge = [
+        r#"{"kind": "resilience", "base_seed": 7, "reps": 4294967295}"#,
+        r#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration", "reps": 4294967295}"#,
+    ];
+    for body in huge {
+        let (status, reply) = http(&daemon.addr, "POST", "/jobs", Some(body));
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains(&MAX_JOB_CELLS.to_string()), "{reply}");
+    }
+    let (status, body) = http(&daemon.addr, "GET", "/healthz", None);
+    assert_eq!(status, 200, "{body}");
+    let (_, stats) = http(&daemon.addr, "GET", "/stats", None);
+    assert!(
+        stats.contains("\"queue_depth\": 0,") && stats.contains("\"accepted\": 0,"),
+        "{stats}"
+    );
+    daemon.shutdown();
+    let manifest = std::fs::read_to_string(Manifest::path_in(&state)).unwrap();
+    assert!(!manifest.contains("4294967295"), "{manifest}");
+
+    Manifest::open(&state)
+        .and_then(|mut m| m.record_job("job-0000-0badcafe", huge[0]))
+        .unwrap();
+    let mut daemon = Daemon::launch(&state, &["--resume"]);
+    assert_eq!(http(&daemon.addr, "GET", "/healthz", None).0, 200);
+    let (status, _) = http(&daemon.addr, "GET", "/jobs/job-0000-0badcafe", None);
+    assert_eq!(status, 404);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }

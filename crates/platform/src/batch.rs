@@ -118,7 +118,13 @@ impl FastBatch {
         self.lane_models.push(LaneModel::default());
         self.radars.push(RadarState::default());
         self.cars.push(None);
-        self.outs.push(AdasOutput::default());
+        // Room for one cycle's three actuator frames: a lane first encodes
+        // frames when its attack starts injecting, mid-run, and that tick
+        // must not allocate (`tests/alloc.rs`).
+        self.outs.push(AdasOutput {
+            frames: Vec::with_capacity(3),
+            ..AdasOutput::default()
+        });
         self.cycles.push(DirectCycle::default());
         self.live.push(false);
         self.encode.push(false);
@@ -405,6 +411,26 @@ impl FastBatch {
             gate_rejections: adas.gate_rejections(),
         })
     }
+}
+
+/// Runs one simulation: the campaign entry point every spec's `run()`
+/// calls.
+///
+/// A [`BatchHarness::fast_eligible`] config runs as a one-lane fused
+/// batch, any other config on the scalar [`Harness`]; both are
+/// bit-identical to `Harness::new(config).run()`, which stays the oracle.
+/// One lane is deliberate: campaigns already fan cells out over the pool,
+/// and stepping several cells in lockstep per pool task measured no
+/// consistent gain (DESIGN.md, "Which path a campaign cell takes").
+pub fn simulate(config: HarnessConfig) -> SimResult {
+    if BatchHarness::fast_eligible(&config) {
+        let mut batch = BatchHarness::new();
+        batch.admit(config);
+        if let Some(result) = batch.run().pop() {
+            return result;
+        }
+    }
+    Harness::new(config).run()
 }
 
 /// Which kind of lane sits at one caller-visible index.

@@ -30,7 +30,7 @@ use units::Seconds;
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
 use crate::resilience::{FAULT_DURATION, FAULT_START, INTENSITIES};
-use crate::{Harness, HarnessConfig, SimResult};
+use crate::{simulate, HarnessConfig, SimResult};
 
 /// The defense deployments a campaign sweeps, weakest to strongest.
 pub const POLICIES: [DefensePolicy; 4] = [
@@ -142,9 +142,9 @@ impl DefenseSpec {
         base.with_defense(self.policy)
     }
 
-    /// Executes the run.
+    /// Executes the run, through [`simulate`].
     pub fn run(&self) -> SimResult {
-        Harness::new(self.harness_config()).run()
+        simulate(self.harness_config())
     }
 }
 

@@ -7,7 +7,7 @@ use driver_model::DriverConfig;
 use driving_sim::Scenario;
 
 use crate::trace::{CampaignMetrics, TraceConfig, TraceRecorder};
-use crate::{Harness, HarnessConfig, HazardParams, SimResult};
+use crate::{simulate, Harness, HarnessConfig, HazardParams, SimResult};
 
 /// A full campaign: every attack type over the whole scenario matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,9 +99,9 @@ impl RunSpec {
         }
     }
 
-    /// Executes the run without tracing.
+    /// Executes the run without tracing, through [`simulate`].
     pub fn run(&self) -> SimResult {
-        Harness::new(self.harness_config(TraceConfig::disabled())).run()
+        simulate(self.harness_config(TraceConfig::disabled()))
     }
 
     /// Executes the run with a flight recorder attached.

@@ -4,6 +4,8 @@
 //! regenerate every table and figure of the evaluation.
 //!
 //! * [`Harness`] — one simulation run (5,000 × 10 ms ticks).
+//! * [`simulate`] — one campaign cell, on the fused [`BatchHarness`] tick
+//!   when the config allows it, else on the scalar [`Harness`].
 //! * [`HazardDetector`] — the hazards H1–H3 and accidents A1/A3 of §III-A.
 //! * [`SimResult`] / [`metrics`] — per-run outcomes and aggregation.
 //! * [`experiment`] — the 1,440/14,400-run campaigns (Tables IV and V).
@@ -44,7 +46,7 @@ pub mod resilience;
 pub mod tables;
 pub mod trace;
 
-pub use batch::BatchHarness;
+pub use batch::{simulate, BatchHarness};
 pub use defense::DefensePolicy;
 pub use harness::{Harness, HarnessConfig, SimResult};
 pub use hazard::{AccidentKind, HazardDetector, HazardKind, HazardParams};

@@ -19,7 +19,7 @@ use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
-use crate::{Harness, HarnessConfig, SimResult};
+use crate::{simulate, HarnessConfig, SimResult};
 
 /// Tick at which every campaign fault window opens (5 s into the run,
 /// after cruise is established).
@@ -86,9 +86,9 @@ impl ResilienceSpec {
             .with_defense(self.defense)
     }
 
-    /// Executes the run.
+    /// Executes the run, through [`simulate`].
     pub fn run(&self) -> SimResult {
-        Harness::new(self.harness_config()).run()
+        simulate(self.harness_config())
     }
 }
 

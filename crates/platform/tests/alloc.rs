@@ -1,6 +1,7 @@
-//! Proves the ISSUE 3 acceptance criterion mechanically: after warm-up,
-//! `Harness::step` performs **zero heap allocations** on a steady-state
-//! (no-trace, no-collision) tick.
+//! Proves mechanically that after warm-up `Harness::step`, and the fused
+//! one-lane `BatchHarness::step` every fast-eligible campaign cell runs
+//! on, perform **zero heap allocations** on a steady-state (no-trace,
+//! no-collision) tick.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; counting is
 //! armed only around the measured window so test-harness bookkeeping and
@@ -11,9 +12,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driving_sim::{Scenario, ScenarioId};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use platform::{Harness, HarnessConfig};
+use platform::{BatchHarness, Harness, HarnessConfig};
 use units::Distance;
 
 struct CountingAllocator;
@@ -49,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Single test so the global counters see exactly one measured window per
-/// harness (plain and fault-injected, armed back to back).
+/// harness (plain, fault-injected and fused, armed back to back).
 #[test]
 fn steady_state_tick_does_not_touch_the_heap() {
     let scenario = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
@@ -65,27 +67,64 @@ fn steady_state_tick_does_not_touch_the_heap() {
     ));
     let mut faulted = Harness::new(faulted_cfg);
 
+    // A one-lane fused batch, the path `platform::simulate` takes for an
+    // eligible campaign cell, under a Context-Aware attack that matches
+    // its context and starts injecting inside the measured window
+    // (activation at tick 918, rewriting frames through tick 1500), so
+    // the window covers the attacker's context match, the in-flight
+    // rewrite and the frame decode of the fused tick.
+    let attack = AttackConfig {
+        attack_type: AttackType::Acceleration,
+        strategy: StrategyKind::ContextAware,
+        value_mode: ValueMode::Strategic,
+        seed: 2,
+        ..AttackConfig::default()
+    };
+    let attacked_cfg = HarnessConfig::with_attack(Scenario::matrix()[1], 2, attack);
+    assert!(BatchHarness::fast_eligible(&attacked_cfg));
+    let mut fused = BatchHarness::new();
+    fused.admit(attacked_cfg);
+    let mut oracle = Harness::new(attacked_cfg);
+
     // Warm-up: let every reused buffer reach its high-water mark (the
     // encoder's counter map fills on the first engaged tick; the msgbus
     // ring and the drain scratch buffers stabilize within a few ticks).
     for _ in 0..500 {
         harness.step();
         faulted.step();
+        fused.step();
+        oracle.step();
     }
+    let frames_before = oracle.attacker().map_or(0, |a| a.frames_rewritten());
 
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..1_000 {
         harness.step();
         faulted.step();
+        fused.step();
     }
     ARMED.store(false, Ordering::SeqCst);
+
+    // The scalar twin, stepped outside the armed window, shows the
+    // attack really injected during it.
+    for _ in 0..1_000 {
+        oracle.step();
+    }
+    let frames_after = oracle.attacker().map_or(0, |a| a.frames_rewritten());
+    assert_eq!(frames_before, 0, "the attack starts inside the window");
+    assert!(
+        frames_after > 500,
+        "the attack injects through the window ({frames_after} frames)"
+    );
+    assert!(oracle.result_so_far().accident.is_none());
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
     let reallocs = REALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
-        "steady-state Harness::step must not allocate, with or without \
-         fault injection ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
+        "steady-state Harness::step and fused BatchHarness::step must not \
+         allocate, with or without fault injection or an injecting attack \
+         ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
     );
 }
