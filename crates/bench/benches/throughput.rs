@@ -10,11 +10,12 @@
 //! runner, whose cells take the fused tick. Parallel is the campaign
 //! runner itself, fanning cells out over the persistent worker pool
 //! (`REPRO_WORKERS` or all cores), each cell a one-lane fused run through
-//! [`platform::simulate`]; batched steps every lane in lockstep through
-//! one single-threaded [`BatchHarness`]. So `batched_speedup` measures
-//! the fused tick against the scalar one on one thread, and `speedup`
-//! the campaign runner (fused tick × pool) against the scalar tick. All
-//! three passes must produce bit-identical results.
+//! [`platform::simulate`]; batched sends every run through `simulate`
+//! on the calling thread, via one [`BatchHarness`] run list. So
+//! `batched_speedup` measures the fused tick against the scalar one on
+//! one thread, and `speedup` the campaign runner (fused tick × pool)
+//! against the scalar tick. All three passes must produce bit-identical
+//! results.
 //!
 //! Run with e.g. `REPRO_SCALE=20 cargo bench -p bench --bench throughput`.
 //! No wall-clock gating anywhere: the JSON records `cores` and `workers`

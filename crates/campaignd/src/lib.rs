@@ -11,7 +11,7 @@
 //!   enqueues (202) or sheds load (429 + `Retry-After`) while the queue is
 //!   at capacity; memory use is bounded by construction, not by hope.
 //! * **Supervision** ([`supervisor`]) — cells execute through
-//!   [`platform::pool::submit_catching`]'s per-cell panic capture; a
+//!   [`platform::pool::catch_cell`]'s per-cell panic capture; a
 //!   panicked cell is retried with deterministic exponential backoff and,
 //!   past the attempt budget, quarantined so one pathological seed cannot
 //!   wedge the campaign. Per-job wall-clock deadlines bound runaway jobs.

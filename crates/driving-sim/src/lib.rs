@@ -42,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 mod collision;
 mod lead;
 mod neighbor;

@@ -14,17 +14,20 @@
 //! those functions append into caller-owned buffers whose capacity the
 //! warmup ticks saturate, which the counting allocator confirms end-to-end.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{resolve_roots, CallGraph};
 use crate::diag::{Diagnostic, Rule, Severity};
 use crate::parser::{Callee, FileFacts, FnDef};
 use crate::scope::{concurrency_applies, FileInfo};
 use crate::symbols::SymbolTable;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// Qualified names of the steady-state tick entry points. (The batched
-/// core's per-tick entry is `BatchHarness::step`; the campaign drivers
-/// call it in a loop.)
-pub const R13_ROOTS: [&str; 2] = ["Harness::step", "BatchHarness::step"];
+/// Qualified names of the steady-state tick entry points, each with the
+/// file that defines it. (The fused tick's entry is `FusedLane::step`;
+/// every fast-eligible campaign cell calls it in a loop.)
+pub const R13_ROOTS: [(&str, &str); 2] = [
+    ("Harness::step", "crates/platform/src/harness.rs"),
+    ("FusedLane::step", "crates/platform/src/batch.rs"),
+];
 
 /// Method names that allocate when they resolve to nothing in the
 /// workspace (i.e. are std container/string APIs). `push` beyond capacity,
@@ -103,13 +106,7 @@ pub fn r13_alloc_freedom(
     }
     debug_assert_eq!(defs.len(), table.symbols.len());
 
-    let roots: Vec<usize> = table
-        .symbols
-        .iter()
-        .filter(|s| R13_ROOTS.contains(&s.qual.as_str()) && !s.is_test)
-        .map(|s| s.id)
-        .collect();
-    let mut out = Vec::new();
+    let (roots, mut out) = resolve_roots(files, table, &R13_ROOTS, Rule::AllocFreedom);
     if roots.is_empty() {
         // No harness in the scanned set (e.g. a fixture scan): nothing to
         // prove.
@@ -262,8 +259,8 @@ mod tests {
         // allocation; the callee's own body is what gets judged.
         let d = analyze(&[(
             "crates/platform/src/batch.rs",
-            "pub struct BatchHarness;\n\
-             impl BatchHarness { pub fn step(&mut self) { self.ring.push(1); } }\n\
+            "pub struct FusedLane;\n\
+             impl FusedLane { pub fn step(&mut self) { self.ring.push(1); } }\n\
              pub struct Ring;\n\
              impl Ring { pub fn push(&mut self, v: u8) { self.buf[self.head] = v; } }\n",
         )]);
@@ -279,6 +276,21 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, Rule::AllocFreedom);
         assert!(d[0].snippet.contains("format!"), "{}", d[0].snippet);
+    }
+
+    #[test]
+    fn a_root_missing_from_its_scanned_file_is_an_error() {
+        // The fused tick's file is scanned but its entry point was renamed:
+        // the gate must say so instead of checking nothing.
+        let d = analyze(&[(
+            "crates/platform/src/batch.rs",
+            "pub struct FusedLane;\nimpl FusedLane { pub fn advance(&mut self) { let v = vec![1]; } }\n",
+        )]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, Rule::AllocFreedom);
+        assert_eq!(d[0].severity, Severity::Error);
+        assert_eq!(d[0].file, "crates/platform/src/batch.rs");
+        assert!(d[0].message.contains("`FusedLane::step`"), "{}", d[0].message);
     }
 
     #[test]

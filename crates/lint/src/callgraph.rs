@@ -2,7 +2,7 @@
 //!
 //! R2 proves "no panic *token* in this file" for the safety-path crates;
 //! R7 upgrades that to "no call *path* from a steady-state root
-//! ([`R7_ROOTS`]: the scalar tick, the batched tick, the pool worker loop)
+//! ([`R7_ROOTS`]: the scalar tick, the fused tick, the pool worker loop)
 //! reaches a panicking function", whatever crate the function lives in. The graph is
 //! name-based and crate-closure-filtered (see [`crate::symbols`]), which
 //! over-approximates reachability: a reported chain might not be
@@ -17,18 +17,63 @@ use crate::scope::FileInfo;
 use crate::symbols::SymbolTable;
 use std::collections::{HashMap, VecDeque};
 
-/// The fully-qualified roots the R7 walk starts from: one scalar tick of
-/// the closed loop, one batched tick, the campaign pool's worker loop,
-/// and the campaign daemon's two long-running service loops (a panic in
-/// either kills the service, not just one request). Everything the steady
-/// state can execute hangs off these.
-pub const R7_ROOTS: [&str; 5] = [
-    "Harness::step",
-    "BatchHarness::step",
-    "spawn_worker",
-    "accept_loop",
-    "supervisor_loop",
+/// The fully-qualified roots the R7 walk starts from, each with the file
+/// that defines it: one scalar tick of the closed loop, one fused tick,
+/// the campaign pool's worker loop, and the campaign daemon's two
+/// long-running service loops (a panic in either kills the service, not
+/// just one request). Everything the steady state can execute hangs off
+/// these.
+pub const R7_ROOTS: [(&str, &str); 5] = [
+    ("Harness::step", "crates/platform/src/harness.rs"),
+    ("FusedLane::step", "crates/platform/src/batch.rs"),
+    ("spawn_worker", "crates/platform/src/pool.rs"),
+    ("accept_loop", "crates/campaignd/src/server.rs"),
+    ("supervisor_loop", "crates/campaignd/src/server.rs"),
 ];
+
+/// Resolves a rule's `(qualified name, defining file)` roots to symbol
+/// ids. A root whose file is in the scan but no longer defines a non-test
+/// fn of that name is reported as an error of `rule`: a renamed entry
+/// point must fail the gate, not silently leave its paths unchecked. A
+/// root whose file is not scanned at all (a fixture workspace) is simply
+/// absent.
+pub fn resolve_roots(
+    files: &[(FileInfo, FileFacts)],
+    table: &SymbolTable,
+    roots: &[(&str, &str)],
+    rule: Rule,
+) -> (Vec<usize>, Vec<Diagnostic>) {
+    let ids = table
+        .symbols
+        .iter()
+        .filter(|s| !s.is_test && roots.iter().any(|(qual, _)| s.qual == *qual))
+        .map(|s| s.id)
+        .collect();
+    let missing = roots
+        .iter()
+        .filter(|(qual, file)| {
+            files.iter().any(|(info, _)| info.rel == *file)
+                && !table
+                    .symbols
+                    .iter()
+                    .any(|s| !s.is_test && s.qual == *qual && s.file == *file)
+        })
+        .map(|(qual, file)| Diagnostic {
+            rule,
+            severity: Severity::Error,
+            file: (*file).to_string(),
+            line: 1,
+            snippet: format!("root `{qual}` not found"),
+            message: format!(
+                "{} root `{qual}` is no longer defined in {file}, so nothing it \
+                 reaches is checked; point the rule's root table at the renamed \
+                 entry point",
+                rule.id()
+            ),
+        })
+        .collect();
+    (ids, missing)
+}
 
 /// A call graph over symbol ids.
 #[derive(Debug, Default)]
@@ -140,15 +185,14 @@ impl CallGraph {
 }
 
 /// R7: every panic primitive inside a function reachable from one of
-/// [`R7_ROOTS`] is a finding, reported with the full call chain.
-pub fn r7_transitive_panic_freedom(table: &SymbolTable, graph: &CallGraph) -> Vec<Diagnostic> {
-    let roots: Vec<usize> = table
-        .symbols
-        .iter()
-        .filter(|s| R7_ROOTS.contains(&s.qual.as_str()) && !s.is_test)
-        .map(|s| s.id)
-        .collect();
-    let mut out = Vec::new();
+/// [`R7_ROOTS`] is a finding, reported with the full call chain, and so is
+/// a root that vanished from its defining file.
+pub fn r7_transitive_panic_freedom(
+    files: &[(FileInfo, FileFacts)],
+    table: &SymbolTable,
+    graph: &CallGraph,
+) -> Vec<Diagnostic> {
+    let (roots, mut out) = resolve_roots(files, table, &R7_ROOTS, Rule::TransitivePanic);
     if roots.is_empty() {
         // No harness in the scanned set (e.g. a fixture scan): R7 has
         // nothing to prove.
@@ -192,7 +236,7 @@ mod tests {
         let files = parse_files(sources);
         let table = SymbolTable::build(&files, None);
         let graph = CallGraph::build(&files, &table);
-        r7_transitive_panic_freedom(&table, &graph)
+        r7_transitive_panic_freedom(&files, &table, &graph)
     }
 
     #[test]
@@ -235,6 +279,26 @@ mod tests {
             ),
         ]);
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn a_root_missing_from_its_scanned_file_is_an_error() {
+        // `Harness::step` survives, but the worker loop's file no longer
+        // defines `spawn_worker` (only a test fn of that name remains).
+        let d = analyze(&[
+            (
+                "crates/platform/src/harness.rs",
+                "pub struct Harness;\nimpl Harness { pub fn step(&mut self) {} }\n",
+            ),
+            (
+                "crates/platform/src/pool.rs",
+                "pub fn spawn_workers() {}\n#[cfg(test)]\nmod tests {\n  fn spawn_worker() {}\n}\n",
+            ),
+        ]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, Rule::TransitivePanic);
+        assert_eq!(d[0].file, "crates/platform/src/pool.rs");
+        assert!(d[0].message.contains("`spawn_worker`"), "{}", d[0].message);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub enum Rule {
     /// `.lock().expect(...)` covered by a documented poisoning policy.
     LockDiscipline,
     /// R13 — hot-path allocation freedom: no call path from the
-    /// steady-state tick roots (`Harness::step`, `BatchHarness::step`)
+    /// steady-state tick roots (`Harness::step`, `FusedLane::step`)
     /// reaches an allocating std API, except provably-amortized
     /// buffer-reuse sites (`drain_into`-style).
     AllocFreedom,

@@ -285,7 +285,7 @@ fn scan_texts(
     let table = symbols::SymbolTable::build(&files, deps);
     let graph = callgraph::CallGraph::build(&files, &table);
     let mut workspace_diags = taint::r6_taint_flow(&table, &graph);
-    workspace_diags.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
+    workspace_diags.extend(callgraph::r7_transitive_panic_freedom(&files, &table, &graph));
     if sem_active {
         workspace_diags.extend(absint::semantic_rules(&semfiles));
     }

@@ -1,7 +1,7 @@
 //! Mutation test for R13: the real `crates/platform/src/batch.rs` must
 //! scan clean, and reintroducing a per-tick allocation into
-//! `FastBatch::step` must produce exactly one R13 finding. This proves
-//! the hot-path allocation analysis actually covers the batched tick —
+//! `FusedLane::step` must produce exactly one R13 finding. This proves
+//! the hot-path allocation analysis actually covers the fused tick —
 //! a rule that stays silent when the regression it exists for comes back
 //! is dead weight.
 
@@ -11,9 +11,9 @@ use adas_lint::{scan_sources, Rule};
 
 const BATCH_REL: &str = "crates/platform/src/batch.rs";
 
-/// The line the mutation is inserted after — the opening of the batched
-/// tick. If `FastBatch::step`'s signature changes, update this anchor.
-const ANCHOR: &str = "    fn step(&mut self, tick: Tick) {";
+/// The line the mutation is inserted after — the opening of the fused
+/// tick. If `FusedLane::step`'s signature changes, update this anchor.
+const ANCHOR: &str = "    pub fn step(&mut self) {";
 
 fn read_real_batch() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -39,7 +39,7 @@ fn real_batch_step_is_allocation_free() {
     let diags = r13_findings(&source);
     assert!(
         diags.is_empty(),
-        "the shipped batched tick must prove allocation-free, got: {:#?}",
+        "the shipped fused tick must prove allocation-free, got: {:#?}",
         diags
             .iter()
             .map(|d| d.render_human())
@@ -54,7 +54,7 @@ fn reintroduced_per_tick_vec_is_caught() {
         .find(ANCHOR)
         .unwrap_or_else(|| panic!("mutation anchor vanished from {BATCH_REL} — update ANCHOR"));
     // Reintroduce the pre-refactor shape: a scratch Vec built fresh
-    // inside every batched tick.
+    // inside every fused tick.
     let mut mutated = String::with_capacity(source.len() + 64);
     mutated.push_str(&source[..anchor_at + ANCHOR.len()]);
     mutated.push_str("\n        let mut retire: Vec<usize> = Vec::new();\n        retire.clear();");
@@ -73,8 +73,8 @@ fn reintroduced_per_tick_vec_is_caught() {
     let d = &diags[0];
     assert!(d.message.contains("Vec::new"), "{}", d.message);
     assert!(
-        d.message.contains("BatchHarness::step"),
-        "chain must start at the batched root: {}",
+        d.message.contains("call chain: FusedLane::step"),
+        "chain must start at the fused root: {}",
         d.message
     );
     // The finding lands on the injected line, right after the anchor.

@@ -1,6 +1,6 @@
 //! The gate's self-checks: a `--rules` subset scan reports only its rules,
-//! dead suppressions fail the build, and stale baseline entries fail the
-//! build. Each test scans a tiny synthetic workspace under
+//! dead suppressions fail the build, stale baseline entries fail the
+//! build, and a tick root that resolves to nothing fails the build. Each test scans a tiny synthetic workspace under
 //! `CARGO_TARGET_TMPDIR`.
 
 use adas_lint::{scan_workspace_with, Baseline, Rule, ScanOptions, Severity};
@@ -56,6 +56,36 @@ fn subset_scans_report_only_their_rules() {
             full.active
         );
     }
+}
+
+#[test]
+fn a_vanished_tick_root_fails_the_gate() {
+    // The fused tick's file is scanned, but its entry point was renamed
+    // and the root tables were not: R7 and R13 must each report the
+    // missing root instead of leaving the fused tick unchecked.
+    let ws = temp_ws("vanished_tick_root");
+    fs::create_dir_all(ws.join("crates/platform/src")).expect("mkdir");
+    fs::write(
+        ws.join("crates/platform/src/batch.rs"),
+        "pub struct FusedLane { buf: Vec<u64> }\n\
+         impl FusedLane {\n\
+             pub fn advance(&mut self) { self.buf.push(1); }\n\
+         }\n",
+    )
+    .expect("write");
+
+    let report = scan_workspace_with(&ws, None, &ScanOptions::default()).expect("scan");
+    for rule in [Rule::TransitivePanic, Rule::AllocFreedom] {
+        let hits: Vec<_> = report
+            .active
+            .iter()
+            .filter(|d| d.rule == rule && d.message.contains("`FusedLane::step`"))
+            .collect();
+        assert_eq!(hits.len(), 1, "{rule:?}: {:?}", report.active);
+        assert_eq!(hits[0].severity, Severity::Error);
+        assert_eq!(hits[0].file, "crates/platform/src/batch.rs");
+    }
+    assert!(!report.is_clean(), "a vanished root must fail the gate");
 }
 
 #[test]

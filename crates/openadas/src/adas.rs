@@ -249,7 +249,7 @@ impl Adas {
         self.finish_cycle(tick, gps_fresh, cam_fresh, radar_fresh, Emit::Bus, out);
     }
 
-    /// Bus-free control cycle for batched lanes: the caller hands this
+    /// Bus-free control cycle for the fused tick: the caller hands this
     /// tick's sensor samples directly (the harness publishes exactly one
     /// message per stream per tick, so latest-sample-wins draining and a
     /// direct feed see identical readings, all fresh) and the cycle skips
@@ -259,7 +259,7 @@ impl Adas {
     /// returned [`DirectCycle::quantized`] carries the command the actuator
     /// side would have decoded.
     ///
-    /// Plausibility gates are bypassed — batched lanes only take this path
+    /// Plausibility gates are bypassed — the fused tick only takes this path
     /// when no detectors are attached; a defended run steps the scalar way.
     pub fn step_direct(
         &mut self,
@@ -400,7 +400,7 @@ impl Adas {
 }
 
 /// Where one control cycle's outputs go: onto the bus and the wire (the
-/// scalar harness), or straight back to the caller (a batched lane).
+/// scalar harness), or straight back to the caller (the fused tick).
 enum Emit {
     /// Publish `carState`/`carControl`/`controlsState` and encode frames.
     Bus,

@@ -28,7 +28,6 @@
 
 mod acc;
 mod adas;
-pub mod batch;
 mod aeb;
 mod alc;
 mod alerts;

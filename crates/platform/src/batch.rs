@@ -1,18 +1,16 @@
-//! Lockstep batched simulation: N lanes stepped stage-major over
-//! structure-of-arrays state.
+//! The fused tick: one campaign run stepped without the message bus.
 //!
-//! [`BatchHarness`] owns B scalar-equivalent lanes and steps them in
-//! lockstep: every pipeline stage (sample → attacker → ADAS → actuation →
-//! physics) runs as one tight loop across all lanes before the next stage
-//! starts, so each stage's code and state columns stay hot instead of
-//! being evicted once per simulated tick. Per-lane math is the scalar
+//! A [`FusedLane`] owns one run's components as plain fields and steps
+//! them in the scalar pipeline order (sample → attacker → ADAS →
+//! actuation → driver → physics → hazards). Per-tick math is the scalar
 //! component code, bit for bit — the scalar [`Harness`] is the oracle and
-//! batched results must equal it exactly (`SimResult` for `SimResult`).
+//! a fused run must equal it exactly (`SimResult` for `SimResult`).
 //!
-//! # Lane lifecycle
+//! # Regimes
 //!
-//! A lane that qualifies for the fused fast path (untraced, no fault
-//! schedule, no detectors attached, Panda off) moves through three
+//! A config qualifies for the fused tick when it is untraced, carries no
+//! fault schedule, attaches no detectors and leaves Panda off
+//! ([`BatchHarness::fast_eligible`]). Such a run moves through three
 //! regimes, each provably bit-equivalent to the scalar tick:
 //!
 //! - **Full**: the whole pipeline runs, fused — sensors feed the ADAS and
@@ -28,27 +26,23 @@
 //!   frames, so sensing and control are dead computation; only the
 //!   driver, physics and hazard bookkeeping still run.
 //! - **Retired**: a collision froze the world; a scalar run spends its
-//!   remaining ticks advancing only the clock, which the batch fast-
+//!   remaining ticks advancing only the clock, which the lane fast-
 //!   forwards in one burst at the moment of collision.
 //!
-//! A lane that does not qualify wraps a scalar [`Harness`] stepped in
-//! lockstep with the batch — still batched from the caller's point of
-//! view, and trivially bit-exact.
+//! Any other config runs on the scalar [`Harness`]; [`simulate`] picks
+//! the path.
 
 use attack_core::{AttackEngine, Observations};
 use driver_model::{Driver, Observation};
-use driving_sim::batch::{SensorColumn, WorldColumn};
-use driving_sim::{ActuatorCommand, RADAR_RANGE};
-use msgbus::schema::{CarControl, CarState, GpsLocation, LaneModel, RadarState};
+use driving_sim::{ActuatorCommand, SensorSuite, World, RADAR_RANGE};
+use msgbus::schema::{CarControl, CarState};
 use msgbus::Bus;
-use openadas::batch::AdasColumn;
-use openadas::{AdasOutput, CommandEncoder, DegradationState, DirectCycle};
-use units::{Tick, STEPS_PER_SIM};
+use openadas::{Adas, AdasOutput, CommandEncoder, DegradationState};
+use units::Tick;
 
-use crate::trace::TraceRecorder;
 use crate::{Harness, HarnessConfig, HazardDetector, SimResult};
 
-/// Where a fast lane is in its life.
+/// Where a fused lane is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Regime {
     /// Pre-takeover, pre-collision: the whole pipeline runs.
@@ -59,10 +53,23 @@ enum Regime {
     Retired,
 }
 
-/// Per-lane bookkeeping mirroring the scalar harness fields.
+/// One simulation run on the fused tick: the scalar components minus the
+/// message bus, Panda, faults, detectors and the flight recorder, none of
+/// which an eligible config uses.
 #[derive(Debug)]
-struct FastLane {
+pub struct FusedLane {
     config: HarnessConfig,
+    world: World,
+    sensors: SensorSuite,
+    adas: Adas,
+    attacker: Option<AttackEngine>,
+    driver: Driver,
+    hazards: HazardDetector,
+    actuator: CommandEncoder,
+    out: AdasOutput,
+    /// Previous tick's `carState` — what the attacker's eavesdropper would
+    /// have drained this tick (`None` before tick 1).
+    car: Option<CarState>,
     regime: Regime,
     last_cmd: CarControl,
     alert_events: u64,
@@ -73,65 +80,35 @@ struct FastLane {
     first_failsafe: Option<Tick>,
 }
 
-/// The fused lanes, stored as parallel lane-indexed columns.
-#[derive(Debug, Default)]
-struct FastBatch {
-    meta: Vec<FastLane>,
-    sensors: SensorColumn,
-    worlds: WorldColumn,
-    gps: Vec<GpsLocation>,
-    lane_models: Vec<LaneModel>,
-    radars: Vec<RadarState>,
-    /// Previous tick's `carState` per lane — what the attacker's
-    /// eavesdropper would have drained this tick (`None` before tick 1).
-    cars: Vec<Option<CarState>>,
-    adas: AdasColumn,
-    attackers: Vec<Option<AttackEngine>>,
-    drivers: Vec<Driver>,
-    hazards: Vec<HazardDetector>,
-    actuators: Vec<CommandEncoder>,
-    outs: Vec<AdasOutput>,
-    cycles: Vec<DirectCycle>,
-    /// Stage masks and per-lane world commands, recomputed every tick.
-    live: Vec<bool>,
-    encode: Vec<bool>,
-    step_world: Vec<bool>,
-    cmds: Vec<ActuatorCommand>,
-}
-
-impl FastBatch {
-    fn admit(&mut self, config: HarnessConfig) -> usize {
-        let lane = self.meta.len();
-        self.worlds.admit(config.scenario, config.seed);
-        self.sensors.admit(config.seed);
-        self.adas.admit(config.scenario.cruise_speed);
-        // Same seed derivation as the scalar harness; the engine's
-        // eavesdropper taps a private idle bus it will never drain.
-        self.attackers.push(config.attack.map(|mut a| {
-            a.seed = a.seed.wrapping_add(config.seed);
-            AttackEngine::new(&Bus::new(), a)
-        }));
-        self.drivers.push(Driver::new(config.driver));
-        self.hazards.push(HazardDetector::new(config.hazard_params));
-        self.actuators.push(CommandEncoder::new());
-        self.gps.push(GpsLocation::default());
-        self.lane_models.push(LaneModel::default());
-        self.radars.push(RadarState::default());
-        self.cars.push(None);
-        // Room for one cycle's three actuator frames: a lane first encodes
-        // frames when its attack starts injecting, mid-run, and that tick
-        // must not allocate (`tests/alloc.rs`).
-        self.outs.push(AdasOutput {
-            frames: Vec::with_capacity(3),
-            ..AdasOutput::default()
-        });
-        self.cycles.push(DirectCycle::default());
-        self.live.push(false);
-        self.encode.push(false);
-        self.step_world.push(false);
-        self.cmds.push(ActuatorCommand::default());
-        self.meta.push(FastLane {
-            config,
+impl FusedLane {
+    /// Wires up a fused run, or `None` when the config is not
+    /// [`BatchHarness::fast_eligible`].
+    pub fn new(config: HarnessConfig) -> Option<Self> {
+        if !BatchHarness::fast_eligible(&config) {
+            return None;
+        }
+        Some(Self {
+            world: World::new(config.scenario, config.seed),
+            sensors: SensorSuite::new(config.seed),
+            // The ADAS and the attacker each get a private idle bus:
+            // nothing publishes on it and the fused tick never drains it.
+            adas: Adas::new(&Bus::new(), config.scenario.cruise_speed),
+            // Same seed derivation as the scalar harness.
+            attacker: config.attack.map(|mut a| {
+                a.seed = a.seed.wrapping_add(config.seed);
+                AttackEngine::new(&Bus::new(), a)
+            }),
+            driver: Driver::new(config.driver),
+            hazards: HazardDetector::new(config.hazard_params),
+            actuator: CommandEncoder::new(),
+            // Room for one cycle's three actuator frames: the lane first
+            // encodes frames when its attack starts injecting, mid-run,
+            // and that tick must not allocate (`tests/alloc.rs`).
+            out: AdasOutput {
+                frames: Vec::with_capacity(3),
+                ..AdasOutput::default()
+            },
+            car: None,
             regime: Regime::Full,
             last_cmd: CarControl::default(),
             alert_events: 0,
@@ -140,120 +117,81 @@ impl FastBatch {
             failsafe_ticks: 0,
             first_degraded: None,
             first_failsafe: None,
-        });
-        lane
+            config,
+        })
     }
 
-    /// Whether any lane still has work before the shared clock runs out.
-    fn any_active(&self) -> bool {
-        self.meta.iter().any(|m| m.regime != Regime::Retired)
+    /// Whether the run has completed its 5,000 ticks.
+    pub fn finished(&self) -> bool {
+        self.world.finished()
     }
 
-    /// One lockstep tick across all fast lanes.
-    fn step(&mut self, tick: Tick) {
-        for ((live, step), meta) in self.live.iter_mut().zip(&mut self.step_world).zip(&self.meta) {
-            *live = meta.regime == Regime::Full;
-            *step = meta.regime != Regime::Retired;
-        }
+    /// Advances one control cycle.
+    pub fn step(&mut self) {
+        let tick = self.world.now();
+        let cmd = match self.regime {
+            Regime::Full => self.full_command(tick),
+            Regime::Disengaged => self.disengaged_command(tick),
+            Regime::Retired => return,
+        };
 
-        // Stage 1: sensors sample ground truth (full-regime lanes only; a
-        // disengaged lane's samples feed a disengaged ADAS and a halted
-        // attacker — dead computation, and the sensor RNG is never read
-        // again, so skipping the draws is unobservable).
-        self.sensors.sample_batch(
-            &self.worlds,
-            &self.live,
-            &mut self.gps,
-            &mut self.lane_models,
-            &mut self.radars,
-        );
-
-        // Stage 2: the attacker eavesdrops and matches contexts. The
-        // synthesized observations are exactly what its bus taps would
-        // drain: this tick's sensor samples plus the previous tick's
-        // `carState`.
-        for i in 0..self.meta.len() {
-            if !self.live[i] {
-                continue;
+        // Physics, then hazards over the stepped world.
+        self.world.step(cmd);
+        self.hazards.step(&self.world);
+        if self.world.collision().is_some() {
+            // A collision ends the run physically; the frozen world only
+            // advances its clock from here, so run it out in one burst —
+            // the same number of `World::step` calls as the scalar run.
+            self.regime = Regime::Retired;
+            while !self.world.finished() {
+                self.world.step(ActuatorCommand::default());
             }
-            self.encode[i] = match self.attackers[i].as_mut() {
-                // A dormant engine can never inject again; skipping its
-                // observe/decide cycle is unobservable.
-                Some(att) if !att.dormant(tick) => {
-                    let obs = Observations {
-                        gps: Some(self.gps[i]),
-                        lane: Some(self.lane_models[i]),
-                        radar: Some(self.radars[i]),
-                        car_state: self.cars[i],
-                    };
-                    att.observe_with(tick, &obs);
-                    att.is_active()
-                }
-                _ => false,
-            };
-        }
-
-        // Stage 3: the ADAS control cycle, bus-free. Frames are only
-        // materialized on lanes whose attacker injects this tick.
-        self.adas.step_batch(
-            tick,
-            &self.gps,
-            &self.lane_models,
-            &self.radars,
-            &self.encode,
-            &self.live,
-            &mut self.outs,
-            &mut self.cycles,
-        );
-
-        // Stage 4: bookkeeping, man-in-the-middle, actuation and the
-        // driver — the control-flow-heavy per-lane tail of the tick.
-        for i in 0..self.meta.len() {
-            match self.meta[i].regime {
-                Regime::Retired => {}
-                Regime::Disengaged => self.step_disengaged_lane(i, tick),
-                Regime::Full => self.step_full_lane(i, tick),
-            }
-        }
-
-        // Stage 5: physics, then hazards over the stepped worlds.
-        self.worlds.step_batch(&self.cmds, &self.step_world);
-        for ((meta, world), hazard) in self
-            .meta
-            .iter_mut()
-            .zip(self.worlds.as_slice())
-            .zip(&mut self.hazards)
-        {
-            if meta.regime == Regime::Retired {
-                continue;
-            }
-            hazard.step(world);
-            if world.collision().is_some() {
-                // A collision ends the run physically; the lane is
-                // fast-forwarded through its remaining clock-only ticks
-                // below.
-                meta.regime = Regime::Retired;
-            } else if meta.ever_disengaged {
-                meta.regime = Regime::Disengaged;
-            }
-        }
-        // Lanes retired *this* tick are exactly those whose `step_world`
-        // mask (written at tick start, before any regime change) is still
-        // set — no scratch list, so the steady-state tick stays
-        // allocation-free (R13).
-        for i in 0..self.meta.len() {
-            if self.meta[i].regime == Regime::Retired && self.step_world[i] {
-                self.worlds.run_out(i);
-            }
+        } else if self.ever_disengaged {
+            self.regime = Regime::Disengaged;
         }
     }
 
-    /// The post-ADAS tail of a full-pipeline tick for one lane — the same
-    /// sequence as scalar [`Harness::step`] stages 3b–7.
-    fn step_full_lane(&mut self, i: usize, tick: Tick) {
-        let meta = &mut self.meta[i];
-        let out = &mut self.outs[i];
-        meta.alert_events += out.new_alerts.len() as u64;
+    /// Runs to completion and returns the result.
+    pub fn run(mut self) -> SimResult {
+        while !self.finished() {
+            self.step();
+        }
+        self.result()
+    }
+
+    /// A full-pipeline tick up to the physics step — the same sequence as
+    /// scalar [`Harness::step`] stages 1–7 — returning the command the
+    /// world executes.
+    fn full_command(&mut self, tick: Tick) -> ActuatorCommand {
+        // Sensors sample ground truth.
+        let frame = self.sensors.sample(&self.world);
+
+        // The attacker eavesdrops and matches contexts. The synthesized
+        // observations are exactly what its bus taps would drain: this
+        // tick's sensor samples plus the previous tick's `carState`.
+        let encode = match self.attacker.as_mut() {
+            // A dormant engine can never inject again; skipping its
+            // observe/decide cycle is unobservable.
+            Some(att) if !att.dormant(tick) => {
+                let obs = Observations {
+                    gps: Some(frame.gps),
+                    lane: Some(frame.lane),
+                    radar: Some(frame.radar),
+                    car_state: self.car,
+                };
+                att.observe_with(tick, &obs);
+                att.is_active()
+            }
+            _ => false,
+        };
+
+        // The ADAS control cycle, bus-free. Frames are only materialized
+        // when the attacker injects this tick.
+        let out = &mut self.out;
+        let cycle = self
+            .adas
+            .step_direct(tick, &frame.gps, &frame.lane, &frame.radar, encode, out);
+        self.alert_events += out.new_alerts.len() as u64;
 
         // Degradation bookkeeping. Without faults or detectors the ladder
         // never leaves Nominal, but the accounting is kept identical to
@@ -261,20 +199,14 @@ impl FastBatch {
         match out.degradation {
             DegradationState::Nominal => {}
             DegradationState::FailSafe => {
-                meta.degraded_ticks += 1;
-                meta.failsafe_ticks += 1;
-                if meta.first_degraded.is_none() {
-                    meta.first_degraded = Some(tick);
-                }
-                if meta.first_failsafe.is_none() {
-                    meta.first_failsafe = Some(tick);
-                }
+                self.degraded_ticks += 1;
+                self.failsafe_ticks += 1;
+                self.first_degraded.get_or_insert(tick);
+                self.first_failsafe.get_or_insert(tick);
             }
             DegradationState::DegradedAlcOff | DegradationState::DegradedAccOff => {
-                meta.degraded_ticks += 1;
-                if meta.first_degraded.is_none() {
-                    meta.first_degraded = Some(tick);
-                }
+                self.degraded_ticks += 1;
+                self.first_degraded.get_or_insert(tick);
             }
         }
 
@@ -283,186 +215,143 @@ impl FastBatch {
         // flight; otherwise the quantized command is exactly what the
         // decoder would have produced (`None` holds the last command, the
         // empty-batch behaviour).
-        let cycle = &self.cycles[i];
-        let cmd = if self.encode[i] {
-            if let Some(att) = self.attackers[i].as_mut() {
+        let cmd = if encode {
+            if let Some(att) = self.attacker.as_mut() {
                 att.process_frames_in_place(tick, &mut out.frames);
             }
-            self.actuators[i].decode_actuators(&out.frames, meta.last_cmd)
+            self.actuator.decode_actuators(&out.frames, self.last_cmd)
         } else {
-            cycle.quantized.unwrap_or(meta.last_cmd)
+            cycle.quantized.unwrap_or(self.last_cmd)
         };
-        meta.last_cmd = cmd;
-        self.cars[i] = Some(cycle.car);
+        self.last_cmd = cmd;
+        self.car = Some(cycle.car);
 
         // The driver watches the executed behaviour and any alert.
-        let Some(world) = self.worlds.as_slice().get(i) else {
-            return;
-        };
-        let obs = Observation {
-            speed: world.ego().speed(),
-            v_cruise: meta.config.scenario.cruise_speed,
-            accel_cmd: cmd.accel,
-            steer_cmd: cmd.steer,
-            adas_alert: !out.new_alerts.is_empty(),
-            lane_offset: world.ego().d(),
-            lead_gap: {
-                let gap = world.gap();
-                (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap)
-            },
-        };
-        let driver_cmd = self.drivers[i].step(tick, &obs);
-        self.cmds[i] = match driver_cmd {
-            Some(d) => {
-                if !meta.ever_disengaged {
-                    self.adas.disengage(i);
-                    if let Some(att) = self.attackers[i].as_mut() {
-                        att.halt(tick);
-                    }
-                    self.meta[i].ever_disengaged = true;
-                }
-                ActuatorCommand {
-                    accel: d.accel,
-                    steer: d.steer,
-                }
+        let alert = !out.new_alerts.is_empty();
+        let driver_cmd = self.drive(tick, cmd, alert);
+        if driver_cmd.is_some() && !self.ever_disengaged {
+            self.adas.disengage();
+            if let Some(att) = self.attacker.as_mut() {
+                att.halt(tick);
             }
-            None => ActuatorCommand {
-                accel: cmd.accel,
-                steer: cmd.steer,
-            },
-        };
+            self.ever_disengaged = true;
+        }
+        driver_cmd.unwrap_or(ActuatorCommand {
+            accel: cmd.accel,
+            steer: cmd.steer,
+        })
     }
 
     /// A post-takeover tick: the held actuator command and the world's
     /// truth feed the engaged driver; everything upstream is skipped.
-    fn step_disengaged_lane(&mut self, i: usize, tick: Tick) {
-        let Some(world) = self.worlds.as_slice().get(i) else {
-            return;
-        };
-        let cmd = self.meta[i].last_cmd;
-        let obs = Observation {
-            speed: world.ego().speed(),
-            v_cruise: self.meta[i].config.scenario.cruise_speed,
-            accel_cmd: cmd.accel,
-            steer_cmd: cmd.steer,
-            // The disengaged ADAS commands a clamped default: saturation
-            // and FCW alerts cannot fire, and without faults the ladder
-            // stays Nominal — no alert ticks.
-            adas_alert: false,
-            lane_offset: world.ego().d(),
-            lead_gap: {
-                let gap = world.gap();
-                (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap)
-            },
-        };
-        self.cmds[i] = match self.drivers[i].step(tick, &obs) {
-            Some(d) => ActuatorCommand {
-                accel: d.accel,
-                steer: d.steer,
-            },
-            None => ActuatorCommand {
-                accel: cmd.accel,
-                steer: cmd.steer,
-            },
-        };
+    fn disengaged_command(&mut self, tick: Tick) -> ActuatorCommand {
+        let cmd = self.last_cmd;
+        // The disengaged ADAS commands a clamped default: saturation and
+        // FCW alerts cannot fire, and without faults the ladder stays
+        // Nominal — no alert ticks.
+        self.drive(tick, cmd, false).unwrap_or(ActuatorCommand {
+            accel: cmd.accel,
+            steer: cmd.steer,
+        })
     }
 
-    /// The finished lane's [`SimResult`], mirroring the scalar
-    /// `Harness::result_so_far` field for field (fast lanes carry no
+    /// Steps the driver model on the executed command; `Some` is the
+    /// driver's own command once they have taken over.
+    fn drive(&mut self, tick: Tick, cmd: CarControl, adas_alert: bool) -> Option<ActuatorCommand> {
+        let ego = self.world.ego();
+        let gap = self.world.gap();
+        let obs = Observation {
+            speed: ego.speed(),
+            v_cruise: self.config.scenario.cruise_speed,
+            accel_cmd: cmd.accel,
+            steer_cmd: cmd.steer,
+            adas_alert,
+            lane_offset: ego.d(),
+            lead_gap: (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap),
+        };
+        self.driver.step(tick, &obs).map(|d| ActuatorCommand {
+            accel: d.accel,
+            steer: d.steer,
+        })
+    }
+
+    /// The run's [`SimResult`] so far, mirroring the scalar
+    /// `Harness::result_so_far` field for field (a fused run carries no
     /// fault engine, detectors or Panda, so those fields are their
     /// constructor values).
-    fn result(&self, i: usize) -> Option<SimResult> {
-        let meta = self.meta.get(i)?;
-        let hazards = self.hazards.get(i)?;
-        let world = self.worlds.as_slice().get(i)?;
-        let driver = self.drivers.get(i)?;
-        let attacker = self.attackers.get(i)?.as_ref();
-        let adas = self.adas.get(i)?;
-        let first_hazard = hazards.first_any().map(|(t, k)| (t.time(), k));
+    pub fn result(&self) -> SimResult {
+        let attacker = self.attacker.as_ref();
+        let first_any = self.hazards.first_any();
         let attack_activated = attacker.and_then(|a| a.timeline().activated_at());
-        let tth = match (attack_activated, hazards.first_any()) {
+        let tth = match (attack_activated, first_any) {
             (Some(_), Some((h, _))) => attacker.and_then(|a| a.timeline().tth(h)),
             _ => None,
         };
-        Some(SimResult {
-            seed: meta.config.seed,
-            first_hazard,
-            hazard_kinds: hazards.kinds(),
-            accident: hazards.accident().map(|(t, k)| (t.time(), k)),
-            alert_events: meta.alert_events,
-            fcw_events: adas.fcw_events(),
-            lane_invasions: world.lane_invasions(),
-            duration: world.now().time(),
+        SimResult {
+            seed: self.config.seed,
+            first_hazard: first_any.map(|(t, k)| (t.time(), k)),
+            hazard_kinds: self.hazards.kinds(),
+            accident: self.hazards.accident().map(|(t, k)| (t.time(), k)),
+            alert_events: self.alert_events,
+            fcw_events: self.adas.fcw_events(),
+            lane_invasions: self.world.lane_invasions(),
+            duration: self.world.now().time(),
             attack_activated: attack_activated.map(Tick::time),
             tth,
-            driver_noticed: driver.noticed_at().map(Tick::time),
-            driver_engaged: driver.engaged_at().map(Tick::time),
+            driver_noticed: self.driver.noticed_at().map(Tick::time),
+            driver_engaged: self.driver.engaged_at().map(Tick::time),
             frames_rewritten: attacker.map_or(0, AttackEngine::frames_rewritten),
             panda_blocked: 0,
             invariant_detected: None,
             monitor_detected: None,
-            degraded_ticks: meta.degraded_ticks,
-            failsafe_ticks: meta.failsafe_ticks,
-            first_degraded: meta.first_degraded.map(Tick::time),
-            first_failsafe: meta.first_failsafe.map(Tick::time),
+            degraded_ticks: self.degraded_ticks,
+            failsafe_ticks: self.failsafe_ticks,
+            first_degraded: self.first_degraded.map(Tick::time),
+            first_failsafe: self.first_failsafe.map(Tick::time),
             recovery_latency: None,
             faults_injected: 0,
             ids_detected: None,
-            gate_rejections: adas.gate_rejections(),
-        })
+            gate_rejections: self.adas.gate_rejections(),
+        }
     }
 }
 
 /// Runs one simulation: the campaign entry point every spec's `run()`
 /// calls.
 ///
-/// A [`BatchHarness::fast_eligible`] config runs as a one-lane fused
-/// batch, any other config on the scalar [`Harness`]; both are
-/// bit-identical to `Harness::new(config).run()`, which stays the oracle.
-/// One lane is deliberate: campaigns already fan cells out over the pool,
-/// and stepping several cells in lockstep per pool task measured no
-/// consistent gain (DESIGN.md, "Which path a campaign cell takes").
+/// A [`BatchHarness::fast_eligible`] config runs as a [`FusedLane`], any
+/// other config on the scalar [`Harness`]; both are bit-identical to
+/// `Harness::new(config).run()`, which stays the oracle. Campaigns fan
+/// cells out over the pool one run per task; stepping several runs in
+/// lockstep measured no consistent gain (DESIGN.md, "Which path a
+/// campaign cell takes").
 pub fn simulate(config: HarnessConfig) -> SimResult {
-    if BatchHarness::fast_eligible(&config) {
-        let mut batch = BatchHarness::new();
-        batch.admit(config);
-        if let Some(result) = batch.run().pop() {
-            return result;
-        }
+    match FusedLane::new(config) {
+        Some(lane) => lane.run(),
+        None => Harness::new(config).run(),
     }
-    Harness::new(config).run()
 }
 
-/// Which kind of lane sits at one caller-visible index.
-#[derive(Debug, Clone, Copy)]
-enum LaneRef {
-    Fast(usize),
-    Exact(usize),
-}
-
-/// B scalar-equivalent simulation lanes stepped in lockstep.
+/// A run list executed one run at a time on the calling thread.
 ///
-/// Push each run's [`HarnessConfig`]; lanes that qualify take the fused
-/// fast path, the rest wrap a scalar [`Harness`]. [`run`](Self::run)
-/// returns one [`SimResult`] per lane in push order, bit-identical to
-/// running each config through the scalar harness.
-#[derive(Default)]
+/// Push each run's [`HarnessConfig`]; [`run`](Self::run) sends every one
+/// through [`simulate`] and returns one [`SimResult`] per run in push
+/// order, bit-identical to running each config through the scalar
+/// harness. Benchmarks use it for a single-threaded pass over a workload.
+#[derive(Debug, Default)]
 pub struct BatchHarness {
-    fast: FastBatch,
-    exact: Vec<Harness>,
-    order: Vec<LaneRef>,
-    ticks: u64,
+    configs: Vec<HarnessConfig>,
 }
 
 impl BatchHarness {
-    /// An empty batch.
+    /// An empty run list.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Whether a config qualifies for the fused fast path. Traced runs,
-    /// fault schedules, attached detectors and Panda checks take the
-    /// scalar-wrapping lane instead.
+    /// Whether a config qualifies for the fused tick. Traced runs, fault
+    /// schedules, attached detectors and Panda checks take the scalar
+    /// [`Harness`] instead.
     pub fn fast_eligible(config: &HarnessConfig) -> bool {
         !config.trace.enabled
             && config.faults.is_empty()
@@ -470,94 +359,26 @@ impl BatchHarness {
             && !config.panda_enabled
     }
 
-    /// Adds one lane. (Named `admit`, not `push`: workspace convention
+    /// Adds one run. (Named `admit`, not `push`: workspace convention
     /// reserves std container method names for std semantics so the
     /// lint's name-based call graph stays precise.)
     pub fn admit(&mut self, config: HarnessConfig) {
-        if Self::fast_eligible(&config) {
-            let i = self.fast.admit(config);
-            self.order.push(LaneRef::Fast(i));
-        } else {
-            self.order.push(LaneRef::Exact(self.exact.len()));
-            self.exact.push(Harness::new(config));
-        }
+        self.configs.push(config);
     }
 
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the batch holds no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Lanes on the fused fast path.
+    /// Runs that take the fused tick.
     pub fn fast_lanes(&self) -> usize {
-        self.fast.meta.len()
+        self.configs.iter().filter(|c| Self::fast_eligible(c)).count()
     }
 
-    /// Lanes wrapping a scalar harness.
+    /// Runs that take the scalar harness.
     pub fn exact_lanes(&self) -> usize {
-        self.exact.len()
+        self.configs.len() - self.fast_lanes()
     }
 
-    /// Whether every lane has completed its run.
-    pub fn finished(&self) -> bool {
-        (self.ticks >= STEPS_PER_SIM || !self.fast.any_active())
-            && self.exact.iter().all(Harness::finished)
-    }
-
-    /// Advances every unfinished lane one lockstep tick.
-    pub fn step(&mut self) {
-        let tick = Tick::new(self.ticks);
-        if self.ticks < STEPS_PER_SIM && self.fast.any_active() {
-            self.fast.step(tick);
-        }
-        for h in &mut self.exact {
-            if !h.finished() {
-                h.step();
-            }
-        }
-        self.ticks += 1;
-    }
-
-    /// Runs every lane to completion; results are in push order.
-    pub fn run(mut self) -> Vec<SimResult> {
-        while !self.finished() {
-            self.step();
-        }
-        self.results()
-    }
-
-    /// Runs every lane to completion, handing back each lane's flight
-    /// recorder too (always `None` on fast lanes — tracing routes a lane
-    /// to the scalar path).
-    pub fn run_traced(mut self) -> Vec<(SimResult, Option<TraceRecorder>)> {
-        while !self.finished() {
-            self.step();
-        }
-        let results = self.results();
-        results
-            .into_iter()
-            .zip(self.order.iter())
-            .map(|(r, lane)| match lane {
-                LaneRef::Exact(j) => (r, self.exact.get_mut(*j).and_then(Harness::take_recorder)),
-                LaneRef::Fast(_) => (r, None),
-            })
-            .collect()
-    }
-
-    /// The per-lane results in push order.
-    fn results(&self) -> Vec<SimResult> {
-        self.order
-            .iter()
-            .filter_map(|lane| match lane {
-                LaneRef::Fast(i) => self.fast.result(*i),
-                LaneRef::Exact(j) => self.exact.get(*j).map(Harness::result_so_far),
-            })
-            .collect()
+    /// Runs every config to completion; results are in push order.
+    pub fn run(self) -> Vec<SimResult> {
+        self.configs.into_iter().map(simulate).collect()
     }
 }
 
@@ -582,26 +403,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_scalar_attack_free() {
-        let mut batch = BatchHarness::new();
-        let mut scalar = Vec::new();
+    fn fused_matches_scalar_attack_free() {
         for (s, gap, seed) in [
             (ScenarioId::S1, 70.0, 3),
             (ScenarioId::S2, 100.0, 4),
             (ScenarioId::S4, 50.0, 5),
         ] {
             let cfg = HarnessConfig::no_attack(scenario(s, gap), seed);
-            batch.admit(cfg);
-            scalar.push(Harness::new(cfg).run());
+            let lane = FusedLane::new(cfg).expect("attack-free runs are eligible");
+            assert_eq!(lane.run(), Harness::new(cfg).run());
         }
-        assert_eq!(batch.fast_lanes(), 3);
-        assert_eq!(batch.run(), scalar);
     }
 
     #[test]
-    fn batched_matches_scalar_under_attack() {
-        let mut batch = BatchHarness::new();
-        let mut scalar = Vec::new();
+    fn fused_matches_scalar_under_attack() {
+        let mut rewritten = 0;
         for (i, (t, v)) in [
             (AttackType::Acceleration, ValueMode::Strategic),
             (AttackType::Deceleration, ValueMode::Fixed),
@@ -616,23 +432,20 @@ mod tests {
                 5 + i as u64,
                 attack(t, StrategyKind::ContextAware, v),
             );
-            batch.admit(cfg);
-            scalar.push(Harness::new(cfg).run());
+            let lane = FusedLane::new(cfg).expect("attacked runs are eligible");
+            let result = lane.run();
+            assert_eq!(result, Harness::new(cfg).run());
+            rewritten += result.frames_rewritten;
         }
-        assert_eq!(batch.fast_lanes(), 4);
-        let results = batch.run();
-        assert_eq!(results, scalar);
-        assert!(
-            results.iter().any(|r| r.frames_rewritten > 0),
-            "at least one lane saw live injection"
-        );
+        assert!(rewritten > 0, "at least one run saw live injection");
     }
 
     #[test]
-    fn ineligible_configs_take_the_exact_lane() {
-        let mut batch = BatchHarness::new();
+    fn ineligible_configs_take_the_scalar_harness() {
         let mut cfg = HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 9);
         cfg.panda_enabled = true;
+        assert!(FusedLane::new(cfg).is_none());
+        let mut batch = BatchHarness::new();
         batch.admit(cfg);
         assert_eq!(batch.fast_lanes(), 0);
         assert_eq!(batch.exact_lanes(), 1);
@@ -640,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_batch_keeps_push_order() {
+    fn mixed_run_list_keeps_push_order() {
         let fast = HarnessConfig::no_attack(scenario(ScenarioId::S2, 100.0), 11);
         let mut exact = HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 12);
         exact.defense = crate::DefensePolicy::Observe;

@@ -326,26 +326,6 @@ where
     }
 }
 
-/// [`run_campaign_cells`] with per-cell panic capture: a panicking cell
-/// yields `Err(CellPanic)` in its slot instead of failing the whole
-/// campaign. Thin campaign-shaped veneer over [`crate::pool::submit_catching`];
-/// supervising services (campaignd) retry or quarantine individual cells
-/// from this.
-pub fn run_campaign_cells_catching<S, T, F>(
-    cfg: RunnerConfig,
-    specs: Vec<S>,
-    run: F,
-) -> Vec<Result<T, crate::pool::CellPanic>>
-where
-    S: Send + Sync + 'static,
-    T: Send + 'static,
-    F: Fn(&S) -> T + Send + Sync + 'static,
-{
-    let n = specs.len();
-    let specs: std::sync::Arc<[S]> = specs.into();
-    crate::pool::submit_catching(cfg.worker_count(n), n, move |i| run(&specs[i]))
-}
-
 /// Runs a work list on the persistent pool across all cores, preserving
 /// order.
 pub fn run_parallel(specs: &[RunSpec]) -> Vec<SimResult> {
@@ -517,23 +497,5 @@ mod tests {
         let out =
             run_campaign_cells_observed(RunnerConfig::default(), none, |&x| x, |_, _| panic!());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn catching_runner_isolates_the_one_bad_cell() {
-        let specs: Vec<u32> = (0..8).collect();
-        let out = run_campaign_cells_catching(RunnerConfig::with_workers(4), specs, |&s| {
-            assert!(s != 5, "cell 5 is cursed");
-            s + 100
-        });
-        assert_eq!(out.len(), 8);
-        for (i, r) in out.iter().enumerate() {
-            if i == 5 {
-                let err = r.as_ref().unwrap_err();
-                assert!(err.message.contains("cell 5 is cursed"), "{err}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u32 + 100);
-            }
-        }
     }
 }

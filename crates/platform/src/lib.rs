@@ -4,7 +4,7 @@
 //! regenerate every table and figure of the evaluation.
 //!
 //! * [`Harness`] — one simulation run (5,000 × 10 ms ticks).
-//! * [`simulate`] — one campaign cell, on the fused [`BatchHarness`] tick
+//! * [`simulate`] — one campaign cell, on the fused tick ([`FusedLane`])
 //!   when the config allows it, else on the scalar [`Harness`].
 //! * [`HazardDetector`] — the hazards H1–H3 and accidents A1/A3 of §III-A.
 //! * [`SimResult`] / [`metrics`] — per-run outcomes and aggregation.
@@ -46,7 +46,7 @@ pub mod resilience;
 pub mod tables;
 pub mod trace;
 
-pub use batch::{simulate, BatchHarness};
+pub use batch::{simulate, BatchHarness, FusedLane};
 pub use defense::DefensePolicy;
 pub use harness::{Harness, HarnessConfig, SimResult};
 pub use hazard::{AccidentKind, HazardDetector, HazardKind, HazardParams};

@@ -286,8 +286,7 @@ where
         .collect()
 }
 
-/// A panic caught from one task of a [`submit_catching`] submission,
-/// reduced to its message so the value is `Send + Sync` and can be stored,
+/// A panic caught by [`catch_cell`], reduced to its message so the value is `Send + Sync` and can be stored,
 /// logged, and retried without carrying the raw `Box<dyn Any>` payload
 /// around.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,9 +304,11 @@ impl std::fmt::Display for CellPanic {
 
 /// Runs `f`, converting a panic into `Err(CellPanic)` instead of unwinding.
 ///
-/// This is the per-task capture primitive behind [`submit_catching`];
-/// supervisors (campaignd) also use it directly so a retry wrapper and the
-/// pool agree on what a caught panic looks like.
+/// [`run_indexed`] deliberately fails the whole submission on the *first*
+/// latched panic — right for benches, where a panicking cell invalidates
+/// the campaign — but a supervising service (campaignd) needs the
+/// opposite: wrapping each task in `catch_cell` lets the other `n - 1`
+/// results survive so only the failed cell is retried.
 pub fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, CellPanic> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let message = payload
@@ -317,23 +318,6 @@ pub fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, CellPanic> {
             .unwrap_or_else(|| "<non-string panic payload>".to_string());
         CellPanic { message }
     })
-}
-
-/// [`run_indexed`], but each task's panic is captured as a per-task
-/// `Err(CellPanic)` instead of being latched and re-raised at the submit
-/// site.
-///
-/// `run_indexed` deliberately fails the whole submission on the *first*
-/// latched panic — right for benches, where a panicking cell invalidates
-/// the campaign — but a supervising service needs the opposite: the other
-/// `n - 1` results must survive so only the failed cell is retried. Every
-/// task runs to a `Result`; nothing is lost and nothing is re-thrown.
-pub fn submit_catching<T, F>(workers: usize, n: usize, f: F) -> Vec<Result<T, CellPanic>>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    run_indexed(workers, n, move |i| catch_cell(|| f(i)))
 }
 
 #[cfg(test)]
@@ -424,48 +408,39 @@ mod tests {
     }
 
     #[test]
-    fn submit_catching_captures_every_panic_and_keeps_the_rest() {
+    fn caught_tasks_keep_every_other_result() {
         // Regression: run_indexed re-raises only the *first* latched panic
-        // and abandons the whole submission's results. With two panicking
-        // cells, submit_catching must return both failures individually
-        // and every other result intact — that is what lets a supervisor
-        // retry exactly the failed cells instead of losing the batch.
-        let out = submit_catching(4, 16, |i| {
-            if i == 3 {
-                panic!("cell 3 exploded");
-            }
-            if i == 11 {
-                panic!("cell 11 exploded");
-            }
-            i * 2
-        });
-        assert_eq!(out.len(), 16);
-        for (i, r) in out.iter().enumerate() {
-            match (i, r) {
-                (3, Err(p)) => assert_eq!(p.message, "cell 3 exploded"),
-                (11, Err(p)) => assert_eq!(p.message, "cell 11 exploded"),
-                (_, Ok(v)) => assert_eq!(*v, i * 2),
-                (_, r) => panic!("cell {i}: unexpected {r:?}"),
+        // and abandons the whole submission's results. With each task
+        // wrapped in catch_cell, two panicking cells come back as two
+        // individual failures and every other result survives — what lets
+        // a supervisor retry exactly the failed cells. `&str` and
+        // formatted `String` payloads both keep their message, and the
+        // single-worker serial path behaves the same.
+        for workers in [4, 1] {
+            let out = run_indexed(workers, 16, |i| {
+                catch_cell(|| {
+                    if i == 3 {
+                        panic!("cell 3 exploded");
+                    }
+                    if i == 11 {
+                        panic!("cell {} exploded", 11);
+                    }
+                    i * 2
+                })
+            });
+            assert_eq!(out.len(), 16);
+            for (i, r) in out.iter().enumerate() {
+                match (i, r) {
+                    (3, Err(p)) => assert_eq!(p.message, "cell 3 exploded"),
+                    (11, Err(p)) => assert_eq!(p.message, "cell 11 exploded"),
+                    (_, Ok(v)) => assert_eq!(*v, i * 2),
+                    (_, r) => panic!("{workers} workers, cell {i}: unexpected {r:?}"),
+                }
             }
         }
         // The pool itself never saw a panic: subsequent plain submissions
         // are unaffected.
         assert_eq!(run_indexed(4, 4, |i| i), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn submit_catching_single_worker_and_string_payloads() {
-        // The serial fast path must behave identically, and `String`
-        // payloads (panic! with formatting) must round-trip their message.
-        let out = submit_catching(1, 3, |i| {
-            if i == 1 {
-                panic!("formatted {}", 42);
-            }
-            i
-        });
-        assert!(matches!(&out[0], Ok(0)));
-        assert_eq!(out[1].as_ref().unwrap_err().message, "formatted 42");
-        assert!(matches!(&out[2], Ok(2)));
     }
 
     #[test]

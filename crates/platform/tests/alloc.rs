@@ -1,6 +1,6 @@
 //! Proves mechanically that after warm-up `Harness::step`, and the fused
-//! one-lane `BatchHarness::step` every fast-eligible campaign cell runs
-//! on, perform **zero heap allocations** on a steady-state (no-trace,
+//! `FusedLane::step` every fast-eligible campaign cell runs on, perform
+//! **zero heap allocations** on a steady-state (no-trace,
 //! no-collision) tick.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; counting is
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driving_sim::{Scenario, ScenarioId};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use platform::{BatchHarness, Harness, HarnessConfig};
+use platform::{FusedLane, Harness, HarnessConfig};
 use units::Distance;
 
 struct CountingAllocator;
@@ -67,7 +67,7 @@ fn steady_state_tick_does_not_touch_the_heap() {
     ));
     let mut faulted = Harness::new(faulted_cfg);
 
-    // A one-lane fused batch, the path `platform::simulate` takes for an
+    // A fused lane, the path `platform::simulate` takes for an
     // eligible campaign cell, under a Context-Aware attack that matches
     // its context and starts injecting inside the measured window
     // (activation at tick 918, rewriting frames through tick 1500), so
@@ -81,9 +81,8 @@ fn steady_state_tick_does_not_touch_the_heap() {
         ..AttackConfig::default()
     };
     let attacked_cfg = HarnessConfig::with_attack(Scenario::matrix()[1], 2, attack);
-    assert!(BatchHarness::fast_eligible(&attacked_cfg));
-    let mut fused = BatchHarness::new();
-    fused.admit(attacked_cfg);
+    let mut fused =
+        FusedLane::new(attacked_cfg).expect("an attacked, untraced cell is fast-eligible");
     let mut oracle = Harness::new(attacked_cfg);
 
     // Warm-up: let every reused buffer reach its high-water mark (the
@@ -123,7 +122,7 @@ fn steady_state_tick_does_not_touch_the_heap() {
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
-        "steady-state Harness::step and fused BatchHarness::step must not \
+        "steady-state Harness::step and FusedLane::step must not \
          allocate, with or without fault injection or an injecting attack \
          ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
     );

@@ -1,27 +1,26 @@
 //! Differential property tests: the scalar [`Harness`] is the bit-exactness
-//! oracle for [`BatchHarness`] lanes.
+//! oracle for [`simulate`] and the [`BatchHarness`] run list.
 //!
-//! Two proptest blocks pin the two lane kinds separately, so coverage of
-//! both does not depend on what the RNG happens to draw:
+//! Two proptest blocks pin the two paths separately, so coverage of both
+//! does not depend on what the RNG happens to draw:
 //!
-//! * **Fast** — attack-free or attacked, untraced, fault-free, no
-//!   detectors: the fused SoA path. The batch must route every such lane
-//!   fast and produce the scalar's [`SimResult`] bit for bit.
-//! * **Exact** — traced runs, fault schedules, attached detectors, Panda
-//!   checks: the scalar-wrapping path. Results *and* the full per-tick
-//!   trace columns (CSV) must match the standalone scalar run.
+//! * **Fused** — attack-free or attacked, untraced, fault-free, no
+//!   detectors: [`FusedLane::new`] must accept every such config, and
+//!   `simulate` must produce the scalar's [`SimResult`] bit for bit.
+//! * **Scalar** — traced runs, fault schedules, attached detectors, Panda
+//!   checks: `FusedLane::new` must refuse the config, and `simulate` must
+//!   still match a standalone scalar run.
 //!
-//! Each case also shuffles several lanes into one batch, so lane-index
-//! bookkeeping (push order vs. internal fast/exact split) is exercised,
-//! not just single-lane round trips.
+//! Each case also pushes two runs with different seeds into one run list,
+//! so its push-order bookkeeping is exercised, not just single runs.
 
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driver_model::DriverConfig;
 use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use platform::trace::to_csv;
 use platform::{
-    BatchHarness, DefensePolicy, Harness, HarnessConfig, HazardParams, TraceConfig,
+    simulate, BatchHarness, DefensePolicy, FusedLane, Harness, HarnessConfig, HazardParams,
+    SimResult, TraceConfig,
 };
 use proptest::prelude::*;
 
@@ -68,38 +67,26 @@ fn fault_schedule(kind_i: usize, intensity: f64, start: u64, duration: u64) -> F
     FaultSchedule::single(spec)
 }
 
-/// Runs every config through the scalar oracle and one shared batch,
-/// asserting bit-identical results and (where traced) trace columns.
-fn assert_batch_matches_scalar(configs: Vec<HarnessConfig>) {
+/// Runs every config through `simulate` and through one shared run list,
+/// asserting both reproduce the scalar oracle, the list in push order.
+fn assert_matches_scalar(configs: &[HarnessConfig]) {
+    let oracle: Vec<SimResult> = configs.iter().map(|&cfg| Harness::new(cfg).run()).collect();
+    for (&cfg, want) in configs.iter().zip(&oracle) {
+        assert_eq!(&simulate(cfg), want, "simulate must match the scalar oracle");
+    }
     let mut batch = BatchHarness::new();
-    for cfg in &configs {
-        batch.admit(*cfg);
+    for &cfg in configs {
+        batch.admit(cfg);
     }
-    let batched = batch.run_traced();
-    assert_eq!(batched.len(), configs.len());
-    for (cfg, (result, recorder)) in configs.into_iter().zip(batched) {
-        let (oracle, oracle_rec) = Harness::new(cfg).run_traced();
-        assert_eq!(result, oracle, "SimResult must match the scalar oracle");
-        match (recorder, oracle_rec) {
-            (None, None) => {}
-            (Some(b), Some(o)) => {
-                assert_eq!(
-                    to_csv(b.ring().iter()),
-                    to_csv(o.ring().iter()),
-                    "trace columns must match the scalar oracle"
-                );
-            }
-            _ => panic!("recorder presence diverged from the oracle"),
-        }
-    }
+    assert_eq!(batch.run(), oracle, "the run list must keep push order");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Fast-path lanes: untraced, fault-free, undetected — attacked or
-    /// clean — must route onto the fused SoA path and still reproduce the
-    /// scalar oracle bit for bit.
+    /// Fused runs: untraced, fault-free, undetected — attacked or clean —
+    /// must route onto the fused tick and still reproduce the scalar
+    /// oracle bit for bit.
     #[test]
     fn fast_lanes_match_the_scalar_oracle(
         scenario_i in 0..12usize,
@@ -111,22 +98,22 @@ proptest! {
     ) {
         let mut a = base_config(scenario_i, seed, driver_alert);
         a.attack = atk.map(|(t, s, v, sd)| attack(t, s, v, sd));
-        // A second clean lane in the same batch: lockstep stepping of one
-        // lane must never bleed into another.
+        // A second clean run in the same run list, with its own seed.
         let b = base_config(scenario_j, seed_b, !driver_alert);
 
+        prop_assert!(FusedLane::new(a).is_some(), "run a must take the fused tick");
+        prop_assert!(FusedLane::new(b).is_some(), "run b must take the fused tick");
         let mut probe = BatchHarness::new();
         probe.admit(a);
         probe.admit(b);
-        prop_assert_eq!(probe.fast_lanes(), 2, "both lanes must take the fast path");
+        prop_assert_eq!(probe.fast_lanes(), 2);
 
-        assert_batch_matches_scalar(vec![a, b]);
+        assert_matches_scalar(&[a, b]);
     }
 
-    /// Exact-path lanes: tracing, fault windows and attached detectors
-    /// must wrap the scalar harness — results and per-tick trace columns
-    /// identical to a standalone scalar run, even mixed into one batch
-    /// with a fast lane.
+    /// Scalar runs: tracing, fault windows and attached detectors must
+    /// take the scalar harness — results identical to a standalone scalar
+    /// run, even mixed into one run list with a fused run.
     #[test]
     fn exact_lanes_match_the_scalar_oracle_with_traces(
         scenario_i in 0..12usize,
@@ -148,16 +135,18 @@ proptest! {
         if observed {
             exact.defense = DefensePolicy::Observe;
         }
-        // A fast lane sharing the batch: the fast/exact split must keep
-        // push order intact.
+        // A fused run sharing the run list: mixing the two paths must
+        // keep push order intact.
         let fast = base_config(scenario_i + 1, seed ^ 0x9E37_79B9, true);
 
+        prop_assert!(FusedLane::new(exact).is_none(), "a faulted run takes the scalar harness");
+        prop_assert!(FusedLane::new(fast).is_some());
         let mut probe = BatchHarness::new();
         probe.admit(exact);
         probe.admit(fast);
-        prop_assert_eq!(probe.exact_lanes(), 1, "faulted lane must take the exact path");
+        prop_assert_eq!(probe.exact_lanes(), 1);
         prop_assert_eq!(probe.fast_lanes(), 1);
 
-        assert_batch_matches_scalar(vec![exact, fast]);
+        assert_matches_scalar(&[exact, fast]);
     }
 }

@@ -1,24 +1,25 @@
 //! Every campaign spec against the scalar oracle.
 //!
 //! A spec's `run()` goes through [`platform::simulate`], which runs a
-//! fast-eligible config as a one-lane fused `BatchHarness` and anything
-//! else on the scalar `Harness`. These tests pin that entry point to
+//! fast-eligible config as a `FusedLane` and anything else on the scalar
+//! `Harness`. These tests pin that entry point to
 //! `Harness::new(spec.harness_config(..)).run()` for every spec type, so
 //! the campaign runners' own serial-vs-pool checks (which now compare the
 //! fused path with itself) keep a scalar reference. campaignd's
 //! `CellSpec` is pinned the same way in its own crate (`spec.rs`).
 
-use attack_core::{AttackType, StrategyKind};
+use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use defense::DefensePolicy;
 use driver_model::DriverConfig;
-use driving_sim::Scenario;
+use driving_sim::{Scenario, ScenarioId};
 use platform::defense_campaign::{threat_matrix, DefenseSpec, POLICIES};
 use platform::experiment::{
     mix_seed, plan_attack_campaign, plan_no_attack_campaign, run_parallel_with, CampaignConfig,
     RunSpec, RunnerConfig,
 };
 use platform::resilience::{plan_resilience_campaign, ResilienceConfig, ResilienceSpec};
-use platform::{BatchHarness, Harness, HarnessConfig, SimResult, TraceConfig};
+use platform::{BatchHarness, FusedLane, Harness, HarnessConfig, SimResult, TraceConfig};
+use units::Distance;
 
 fn oracle(cfg: HarnessConfig) -> SimResult {
     Harness::new(cfg).run()
@@ -65,6 +66,46 @@ fn run_spec_matches_the_scalar_harness_under_every_strategy() {
     assert!(
         results.iter().any(|r| r.frames_rewritten > 0),
         "at least one run injected, so the fused MITM path was compared"
+    );
+}
+
+#[test]
+fn fused_collision_and_takeover_shortcuts_match_the_scalar_harness() {
+    // Cells chosen so both fused-lane shortcuts run: a fixed steer-right
+    // attack on an inattentive driver ends in a collision (the Retired
+    // fast-forward), and a fixed deceleration attack is noticed by an
+    // alert driver, who takes over (the Disengaged regime).
+    let cell = |attack_type, driver, scenario, seed| RunSpec {
+        attack: Some(AttackConfig {
+            attack_type,
+            strategy: StrategyKind::ContextAware,
+            value_mode: ValueMode::Fixed,
+            ..AttackConfig::default()
+        }),
+        scenario,
+        seed,
+        driver,
+        panda_enabled: false,
+        defense: DefensePolicy::Off,
+    };
+    let s1 = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
+    let s2 = Scenario::new(ScenarioId::S2, Distance::meters(100.0));
+    let mut specs = Vec::new();
+    for seed in 0..4 {
+        specs.push(cell(AttackType::SteeringRight, DriverConfig::inattentive(), s2, seed));
+        specs.push(cell(AttackType::Deceleration, DriverConfig::alert(), s1, seed));
+    }
+    assert!(specs
+        .iter()
+        .all(|s| FusedLane::new(s.harness_config(TraceConfig::disabled())).is_some()));
+    let results = assert_run_specs_match(&specs);
+    assert!(
+        results.iter().any(|r| r.accident.is_some()),
+        "a fused run collided, so the Retired fast-forward was compared"
+    );
+    assert!(
+        results.iter().any(|r| r.driver_engaged.is_some()),
+        "a fused run was taken over, so the Disengaged regime was compared"
     );
 }
 
