@@ -3,8 +3,9 @@
 //!
 //! Threading model — deliberately boring:
 //!
-//! * one accept loop ([`accept_loop`]) polling a non-blocking listener so
-//!   drain can interrupt it without a self-connection trick;
+//! * one accept loop ([`accept_loop`]) blocking in `accept`, so a new
+//!   connection is served the moment it arrives; `POST /shutdown` wakes it
+//!   by connecting to the listener's own port on loopback;
 //! * one connection thread per client, capped at
 //!   [`DaemonConfig::max_connections`] (over the cap → immediate 503),
 //!   each with read/write timeouts and a per-request wall-clock budget so
@@ -21,7 +22,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -126,6 +127,9 @@ pub struct ServerState {
     connections: AtomicU64,
     stats: Arc<DaemonStats>,
     draining: AtomicBool,
+    /// Loopback address of the listener: drain connects here once to wake
+    /// the blocked accept loop.
+    wake_addr: SocketAddr,
 }
 
 /// The bound daemon, ready to [`run`](Server::run).
@@ -141,7 +145,13 @@ impl Server {
     pub fn bind(addr: &str, cfg: DaemonConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let manifest = Manifest::open(&cfg.state_dir)?;
         let entries = load_manifest(&cfg.state_dir)?;
 
@@ -157,6 +167,7 @@ impl Server {
             connections: AtomicU64::new(0),
             stats: Arc::new(DaemonStats::default()),
             draining: AtomicBool::new(false),
+            wake_addr,
         });
 
         if cfg.resume {
@@ -267,14 +278,16 @@ fn lookup_job(state: &Arc<ServerState>, id: &str) -> Option<Arc<JobState>> {
     jobs.get(id).cloned()
 }
 
-/// Accepts connections until drain. Non-blocking accept + sleep keeps the
-/// loop interruptible without signals or a wakeup socket.
+/// Accepts connections until drain. `accept` blocks; [`begin_drain`]
+/// sets the flag first and then connects once, so the accept that returns
+/// next sees the flag and the loop ends.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     loop {
+        let accepted = listener.accept();
         if state.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
                     // Over the connection cap: shed immediately rather
@@ -301,15 +314,21 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     state.connections.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A failed accept (e.g. out of file descriptors) is retried
+            // after a pause rather than spun on.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+}
+
+/// Starts the graceful drain: no new jobs start, the supervisor finishes
+/// its in-flight cells, and the accept loop is woken so it can return.
+fn begin_drain(state: &ServerState) {
+    state.draining.store(true, Ordering::SeqCst);
+    state.queue_cv.notify_all();
+    // The wake-up connection is accepted and dropped unread. If it cannot
+    // be made, the next real client wakes the loop instead.
+    let _ = TcpStream::connect_timeout(&state.wake_addr, Duration::from_secs(1));
 }
 
 fn write_all(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<()> {
@@ -400,8 +419,7 @@ fn route(req: &Request, stream: &TcpStream, state: &Arc<ServerState>) -> bool {
         ("GET", "/stats") => json_response(200, "OK", stats_body(state)),
         ("POST", "/jobs") => submit_job(req, state),
         ("POST", "/shutdown") => {
-            state.draining.store(true, Ordering::SeqCst);
-            state.queue_cv.notify_all();
+            begin_drain(state);
             let bytes = response(
                 202,
                 "Accepted",

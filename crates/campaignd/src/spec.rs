@@ -418,9 +418,9 @@ mod tests {
 
     #[test]
     fn cells_match_the_scalar_harness() {
-        // `CellSpec::run` goes through `platform::simulate`: attack cells
-        // on the fused one-lane batch, faulted resilience cells on the
-        // scalar harness. Both must equal the scalar oracle.
+        // `CellSpec::run` goes through `platform::simulate`, which runs
+        // attack and faulted resilience cells alike on the fused tick.
+        // Both must equal the scalar oracle.
         for body in [
             &br#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration_steering", "base_seed": 3}"#[..],
             br#"{"kind": "attack", "strategy": "random_dur", "attack": "deceleration", "base_seed": 4}"#,

@@ -1,14 +1,17 @@
 //! Real-socket integration tests: the spawned `campaignd` binary serving
 //! HTTP over an ephemeral port — health, stats, submission, report
-//! identity against an in-process run, backpressure, and graceful drain.
+//! identity against an in-process run, backpressure, and graceful drain —
+//! plus an in-process `Server` that must drain on `/shutdown` alone.
 
 mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use campaignd::checkpoint::Manifest;
+use campaignd::server::{DaemonConfig, Server};
 use campaignd::spec::MAX_JOB_CELLS;
 use common::{http, job_id, read_response, stream_to_end, temp_state, wait_for_status, Daemon};
 use platform::experiment::RunnerConfig;
@@ -303,5 +306,33 @@ fn overload_sheds_with_429_and_drain_is_graceful() {
     // keeps the finished cells), the queued job is left for resume, and
     // the process exits cleanly.
     daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn shutdown_alone_wakes_the_accept_loop() {
+    // An in-process server with no client but the one that asks it to
+    // drain: the accept loop blocks in `accept`, so only the drain's own
+    // wake-up connection can end it.
+    let state = temp_state("wake");
+    let cfg = DaemonConfig {
+        state_dir: state.clone(),
+        ..DaemonConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (done, returned) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let outcome = server.run();
+        let _ = done.send(());
+        outcome
+    });
+
+    let (status, body) = http(&addr, "POST", "/shutdown", None);
+    assert_eq!(status, 202, "{body}");
+    returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("Server::run returns within its 2 s drain window");
+    runner.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&state);
 }

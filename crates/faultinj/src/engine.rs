@@ -105,6 +105,14 @@ impl FaultEngine {
         self.schedule.last_end()
     }
 
+    /// Whether a CAN-layer fault window is open at `tick` — the ticks on
+    /// which [`apply_can`](Self::apply_can) may touch the frames in flight.
+    pub fn can_fault_active(&self, tick: Tick) -> bool {
+        self.schedule
+            .iter()
+            .any(|spec| spec.kind.is_can() && spec.active_at(tick.index()))
+    }
+
     /// Applies sensor- and bus-side faults for `tick`.
     ///
     /// `frame` is mutated in place to the *module-level* view (stuck,
@@ -572,6 +580,20 @@ mod tests {
         assert!(frames.is_empty());
         assert_eq!(eng.faults_injected(), 2);
         assert_eq!(eng.active_mask() & (1 << FaultKind::CanBusOff.index()), 1 << 6);
+    }
+
+    #[test]
+    fn can_fault_active_follows_can_windows_only() {
+        let mut schedule = FaultSchedule::single(FaultSpec::window(
+            FaultKind::SensorDropout,
+            FaultTarget::All,
+            0,
+            100,
+        ));
+        schedule.add(FaultSpec::window(FaultKind::CanBitFlip, FaultTarget::All, 40, 10));
+        let eng = FaultEngine::new(1, schedule);
+        let open: Vec<u64> = (0..100).filter(|&t| eng.can_fault_active(Tick::new(t))).collect();
+        assert_eq!(open, (40..50).collect::<Vec<_>>(), "sensor windows do not count");
     }
 
     #[test]

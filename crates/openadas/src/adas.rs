@@ -180,109 +180,113 @@ impl Adas {
     /// same [`AdasOutput`] back every cycle pays for the buffers once and
     /// then runs the whole control loop without touching the heap.
     pub fn step_into(&mut self, tick: Tick, out: &mut AdasOutput) {
-        // Latest-sample-wins, like a real 100 Hz control loop. Each stream
-        // also feeds its staleness watchdog: a tick with no message at all
-        // is a module-level outage, distinct from a message reporting "no
-        // detection". A message whose *sample timestamp* lags the current
-        // tick by more than STALE_AFTER_TICKS is replayed history — it still
-        // updates the estimators (it is the freshest content available) but
-        // does not count as fresh, so the watchdog sees through a latency
-        // fault republishing old readings. With gates attached, a reading
-        // must also pass its plausibility checks to count.
-        let mut gps_fresh = false;
-        self.gps_sub.drain_into(&mut self.scratch);
-        for env in &self.scratch {
-            if let Payload::GpsLocationExternal(gps) = env.payload() {
-                let admitted = match self.gates.as_mut() {
-                    Some(g) => g.admit_gps(tick, gps, &self.state),
-                    None => true,
-                };
-                if admitted {
-                    self.state.update(gps, self.last_control.steer);
-                    gps_fresh = tick - env.tick() <= STALE_AFTER_TICKS;
-                }
+        // Latest-sample-wins, like a real 100 Hz control loop: every drained
+        // message goes through the same per-stream ingest as the bus-free
+        // entry, and the last admitted one decides freshness.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut gps = Ingest::default();
+        self.gps_sub.drain_into(&mut scratch);
+        for env in &scratch {
+            if let Payload::GpsLocationExternal(reading) = env.payload() {
+                gps.absorb(self.ingest_gps(tick, env.tick(), reading));
             }
         }
-        let mut cam_fresh = false;
-        let mut cam_updated = false;
-        self.model_sub.drain_into(&mut self.scratch);
-        for env in &self.scratch {
-            if let Payload::ModelV2(model) = env.payload() {
-                let admitted = match self.gates.as_mut() {
-                    Some(g) => g.admit_lane(tick, model),
-                    None => true,
-                };
-                if admitted {
-                    self.lanes.update(model);
-                    cam_updated = true;
-                    cam_fresh = tick - env.tick() <= STALE_AFTER_TICKS;
-                }
+        let mut cam = Ingest::default();
+        self.model_sub.drain_into(&mut scratch);
+        for env in &scratch {
+            if let Payload::ModelV2(reading) = env.payload() {
+                cam.absorb(self.ingest_lane(tick, env.tick(), reading));
             }
         }
-        let mut radar_fresh = false;
-        let mut radar_updated = false;
-        self.radar_sub.drain_into(&mut self.scratch);
-        for env in &self.scratch {
-            if let Payload::RadarState(radar) = env.payload() {
-                let admitted = match self.gates.as_mut() {
-                    Some(g) => g.admit_radar(tick, radar, &self.leads),
-                    None => true,
-                };
-                if admitted {
-                    self.leads.update(radar);
-                    radar_updated = true;
-                    radar_fresh = tick - env.tick() <= STALE_AFTER_TICKS;
-                }
+        let mut radar = Ingest::default();
+        self.radar_sub.drain_into(&mut scratch);
+        for env in &scratch {
+            if let Payload::RadarState(reading) = env.payload() {
+                radar.absorb(self.ingest_radar(tick, env.tick(), reading));
             }
         }
-
-        // Coast the estimators through the outage: lane confidence decays,
-        // the lead track holds-then-invalidates instead of freezing stale.
-        // A gate-rejected reading coasts like silence; a stale-but-admitted
-        // reading already updated the estimator and must not double-advance.
-        if !cam_updated {
-            self.lanes.coast();
-        }
-        if !radar_updated {
-            self.leads.coast();
-        }
-        self.finish_cycle(tick, gps_fresh, cam_fresh, radar_fresh, Emit::Bus, out);
+        self.scratch = scratch;
+        self.finish_cycle(tick, gps, cam, radar, Emit::Bus, out);
     }
 
-    /// Bus-free control cycle for the fused tick: the caller hands this
-    /// tick's sensor samples directly (the harness publishes exactly one
-    /// message per stream per tick, so latest-sample-wins draining and a
-    /// direct feed see identical readings, all fresh) and the cycle skips
-    /// the pub/sub hop entirely. With `encode_frames` the actuator frames
-    /// are produced as usual (a man-in-the-middle wants real bytes);
-    /// without it the encoder's rolling counters still advance and the
-    /// returned [`DirectCycle::quantized`] carries the command the actuator
-    /// side would have decoded.
+    /// Bus-free control cycle for the fused tick: the caller hands each
+    /// stream's `(sample tick, reading)` directly — `None` for a message
+    /// lost this tick — exactly as a fault engine's publish plan (or the
+    /// nominal plan) would have put them on the bus. The harness publishes
+    /// at most one message per stream per tick, so latest-sample-wins
+    /// draining and this direct feed see identical readings; gate
+    /// admission, the staleness stamp and estimator coasting are the same
+    /// per-stream code [`step_into`](Self::step_into) runs.
     ///
-    /// Plausibility gates are bypassed — the fused tick only takes this path
-    /// when no detectors are attached; a defended run steps the scalar way.
+    /// With `encode_frames` the actuator frames are produced as usual
+    /// (someone inspects the wire this cycle); without it the encoder's
+    /// rolling counters still advance and the returned
+    /// [`DirectCycle::quantized`] carries the command the actuator side
+    /// would have decoded.
     pub fn step_direct(
         &mut self,
         tick: Tick,
-        gps: &GpsLocation,
-        lane: &LaneModel,
-        radar: &RadarState,
+        gps: Option<(Tick, &GpsLocation)>,
+        lane: Option<(Tick, &LaneModel)>,
+        radar: Option<(Tick, &RadarState)>,
         encode_frames: bool,
         out: &mut AdasOutput,
     ) -> DirectCycle {
-        self.state.update(gps, self.last_control.steer);
-        self.lanes.update(lane);
-        self.leads.update(radar);
+        let gps = Ingest::of(gps.and_then(|(stamp, r)| self.ingest_gps(tick, stamp, r)));
+        let cam = Ingest::of(lane.and_then(|(stamp, r)| self.ingest_lane(tick, stamp, r)));
+        let radar = Ingest::of(radar.and_then(|(stamp, r)| self.ingest_radar(tick, stamp, r)));
         self.finish_cycle(
             tick,
-            true,
-            true,
-            true,
+            gps,
+            cam,
+            radar,
             Emit::Direct {
                 encode: encode_frames,
             },
             out,
         )
+    }
+
+    /// One `gpsLocationExternal` reading sampled at `stamp`: `None` when
+    /// the gates reject it, otherwise whether it counts as fresh. A reading
+    /// whose sample stamp lags the current tick by more than
+    /// STALE_AFTER_TICKS is replayed history — it still updates the
+    /// estimator (it is the freshest content available) but does not count
+    /// as fresh, so the watchdog sees through a latency fault republishing
+    /// old readings.
+    fn ingest_gps(&mut self, tick: Tick, stamp: Tick, gps: &GpsLocation) -> Option<bool> {
+        let admitted = match self.gates.as_mut() {
+            Some(g) => g.admit_gps(tick, gps, &self.state),
+            None => true,
+        };
+        admitted.then(|| {
+            self.state.update(gps, self.last_control.steer);
+            tick - stamp <= STALE_AFTER_TICKS
+        })
+    }
+
+    /// One `modelV2` reading; see [`ingest_gps`](Self::ingest_gps).
+    fn ingest_lane(&mut self, tick: Tick, stamp: Tick, lane: &LaneModel) -> Option<bool> {
+        let admitted = match self.gates.as_mut() {
+            Some(g) => g.admit_lane(tick, lane),
+            None => true,
+        };
+        admitted.then(|| {
+            self.lanes.update(lane);
+            tick - stamp <= STALE_AFTER_TICKS
+        })
+    }
+
+    /// One `radarState` reading; see [`ingest_gps`](Self::ingest_gps).
+    fn ingest_radar(&mut self, tick: Tick, stamp: Tick, radar: &RadarState) -> Option<bool> {
+        let admitted = match self.gates.as_mut() {
+            Some(g) => g.admit_radar(tick, radar, &self.leads),
+            None => true,
+        };
+        admitted.then(|| {
+            self.leads.update(radar);
+            tick - stamp <= STALE_AFTER_TICKS
+        })
     }
 
     /// Everything downstream of sensor ingestion — the control cycle shared
@@ -291,12 +295,22 @@ impl Adas {
     fn finish_cycle(
         &mut self,
         tick: Tick,
-        gps_fresh: bool,
-        cam_fresh: bool,
-        radar_fresh: bool,
+        gps: Ingest,
+        cam: Ingest,
+        radar: Ingest,
         emit: Emit,
         out: &mut AdasOutput,
     ) -> DirectCycle {
+        // Coast the estimators through the outage: lane confidence decays,
+        // the lead track holds-then-invalidates instead of freezing stale.
+        // A gate-rejected reading coasts like silence; a stale-but-admitted
+        // reading already updated the estimator and must not double-advance.
+        if !cam.updated {
+            self.lanes.coast();
+        }
+        if !radar.updated {
+            self.leads.coast();
+        }
         // An externally requested rung (CAN IDS alarm under an acting
         // policy) lands before the watchdogs step, so this cycle's control
         // authority already reflects it.
@@ -304,7 +318,7 @@ impl Adas {
             .pending_force
             .take()
             .and_then(|target| self.degradation.force(target));
-        let degradation_alert = self.degradation.step(gps_fresh, cam_fresh, radar_fresh);
+        let degradation_alert = self.degradation.step(gps.fresh, cam.fresh, radar.fresh);
         let degradation = self.degradation.state();
 
         let car = self.state.state();
@@ -409,6 +423,35 @@ enum Emit {
         /// Whether to materialize actuator frames this cycle.
         encode: bool,
     },
+}
+
+/// What one sensor stream delivered to a control cycle.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ingest {
+    /// A reading passed the gates and updated the estimator.
+    updated: bool,
+    /// The last admitted reading was fresh. A tick with no message at all
+    /// is a module-level outage, distinct from a message reporting "no
+    /// detection".
+    fresh: bool,
+}
+
+impl Ingest {
+    /// A stream that delivered at most one reading, with its ingest result
+    /// (`None`: lost or gate-rejected).
+    fn of(admitted: Option<bool>) -> Self {
+        Self {
+            updated: admitted.is_some(),
+            fresh: admitted.unwrap_or(false),
+        }
+    }
+
+    /// Folds in one more reading: the last admitted one wins.
+    fn absorb(&mut self, admitted: Option<bool>) {
+        if admitted.is_some() {
+            *self = Self::of(admitted);
+        }
+    }
 }
 
 /// What a bus-free control cycle produced beyond the [`AdasOutput`].

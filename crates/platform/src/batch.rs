@@ -1,51 +1,58 @@
 //! The fused tick: one campaign run stepped without the message bus.
 //!
-//! A [`FusedLane`] owns one run's components as plain fields and steps
-//! them in the scalar pipeline order (sample → attacker → ADAS →
-//! actuation → driver → physics → hazards). Per-tick math is the scalar
-//! component code, bit for bit — the scalar [`Harness`] is the oracle and
-//! a fused run must equal it exactly (`SimResult` for `SimResult`).
+//! A [`FusedLane`] owns one run's components and steps them through the
+//! same stage methods as the scalar [`Harness`], in the same order
+//! (sample → faults → attacker → ADAS → MITM → CAN faults → IDS → Panda →
+//! decode → detectors → driver → physics → hazards). Per-tick math is the
+//! scalar component code, bit for bit — the scalar [`Harness`] is the
+//! oracle and a fused run must equal it exactly (`SimResult` for
+//! `SimResult`).
 //!
 //! # Regimes
 //!
-//! A config qualifies for the fused tick when it is untraced, carries no
-//! fault schedule, attaches no detectors and leaves Panda off
-//! ([`BatchHarness::fast_eligible`]). Such a run moves through three
-//! regimes, each provably bit-equivalent to the scalar tick:
+//! Every untraced config runs on the fused tick
+//! ([`BatchHarness::fast_eligible`]): fault schedules, the defense
+//! postures and Panda are optional fields of the lane. A run moves through
+//! three regimes, each provably bit-equivalent to the scalar tick:
 //!
-//! - **Full**: the whole pipeline runs, fused — sensors feed the ADAS and
-//!   the attacker directly (the harness publishes at most one message per
+//! - **Full**: the whole pipeline runs, fused — the sensors' publish plan
+//!   (the fault engine's, or the nominal one) feeds the ADAS and the
+//!   attacker directly (the harness publishes at most one message per
 //!   stream per tick, so newest-wins draining and a direct feed are
-//!   identical), and actuator frames are only materialized on ticks the
-//!   attacker actively rewrites; other ticks advance the CAN rolling
-//!   counters and quantize the command through the same DBC round trip
-//!   the wire would apply.
+//!   identical). Actuator frames are only materialized on ticks where
+//!   something inspects the wire: the attacker injects, a CAN fault window
+//!   is open, the IDS is attached or Panda is on. Other ticks advance the
+//!   CAN rolling counters and quantize the command through the same DBC
+//!   round trip the wire would apply.
 //! - **Disengaged**: the driver has taken over (permanent — the driver
 //!   model never hands back control), the attack is halted (latched off),
 //!   and the disengaged ADAS emits a default command, no alerts and no
 //!   frames, so sensing and control are dead computation; only the
-//!   driver, physics and hazard bookkeeping still run.
+//!   driver, physics and hazard bookkeeping still run. Only a lane with no
+//!   fault engine and no detectors settles here: faults keep moving the
+//!   degradation ladder and its counters after a takeover, and the
+//!   detectors keep watching.
 //! - **Retired**: a collision froze the world; a scalar run spends its
 //!   remaining ticks advancing only the clock, which the lane fast-
 //!   forwards in one burst at the moment of collision.
 //!
-//! Any other config runs on the scalar [`Harness`]; [`simulate`] picks
-//! the path.
+//! A traced config runs on the scalar [`Harness`], whose recorder reads
+//! the bus; [`simulate`] picks the path.
 
-use attack_core::{AttackEngine, Observations};
-use driver_model::{Driver, Observation};
-use driving_sim::{ActuatorCommand, SensorSuite, World, RADAR_RANGE};
-use msgbus::schema::{CarControl, CarState};
+use attack_core::Observations;
+use driving_sim::ActuatorCommand;
+use msgbus::schema::CarState;
 use msgbus::Bus;
-use openadas::{Adas, AdasOutput, CommandEncoder, DegradationState};
+use openadas::AdasOutput;
 use units::Tick;
 
-use crate::{Harness, HarnessConfig, HazardDetector, SimResult};
+use crate::harness::RunParts;
+use crate::{Harness, HarnessConfig, SimResult};
 
 /// Where a fused lane is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Regime {
-    /// Pre-takeover, pre-collision: the whole pipeline runs.
+    /// The whole pipeline runs.
     Full,
     /// The driver took over: sensing and control are dead computation.
     Disengaged,
@@ -54,99 +61,73 @@ enum Regime {
 }
 
 /// One simulation run on the fused tick: the scalar components minus the
-/// message bus, Panda, faults, detectors and the flight recorder, none of
-/// which an eligible config uses.
+/// message bus and the flight recorder.
 #[derive(Debug)]
 pub struct FusedLane {
-    config: HarnessConfig,
-    world: World,
-    sensors: SensorSuite,
-    adas: Adas,
-    attacker: Option<AttackEngine>,
-    driver: Driver,
-    hazards: HazardDetector,
-    actuator: CommandEncoder,
+    parts: RunParts,
     out: AdasOutput,
     /// Previous tick's `carState` — what the attacker's eavesdropper would
     /// have drained this tick (`None` before tick 1).
     car: Option<CarState>,
     regime: Regime,
-    last_cmd: CarControl,
-    alert_events: u64,
-    ever_disengaged: bool,
-    degraded_ticks: u64,
-    failsafe_ticks: u64,
-    first_degraded: Option<Tick>,
-    first_failsafe: Option<Tick>,
 }
 
 impl FusedLane {
     /// Wires up a fused run, or `None` when the config is not
-    /// [`BatchHarness::fast_eligible`].
+    /// [`BatchHarness::fast_eligible`] (it is traced).
     pub fn new(config: HarnessConfig) -> Option<Self> {
         if !BatchHarness::fast_eligible(&config) {
             return None;
         }
         Some(Self {
-            world: World::new(config.scenario, config.seed),
-            sensors: SensorSuite::new(config.seed),
-            // The ADAS and the attacker each get a private idle bus:
-            // nothing publishes on it and the fused tick never drains it.
-            adas: Adas::new(&Bus::new(), config.scenario.cruise_speed),
-            // Same seed derivation as the scalar harness.
-            attacker: config.attack.map(|mut a| {
-                a.seed = a.seed.wrapping_add(config.seed);
-                AttackEngine::new(&Bus::new(), a)
-            }),
-            driver: Driver::new(config.driver),
-            hazards: HazardDetector::new(config.hazard_params),
-            actuator: CommandEncoder::new(),
-            // Room for one cycle's three actuator frames: the lane first
-            // encodes frames when its attack starts injecting, mid-run,
-            // and that tick must not allocate (`tests/alloc.rs`).
+            // The ADAS and the attacker tap a private idle bus: nothing
+            // publishes on it and the fused tick never drains it.
+            parts: RunParts::new(config, &Bus::new()),
+            // Room for one cycle's three actuator frames and its alerts (at
+            // most two debounced ones, a forced rung and a ladder step): a
+            // lane may first encode frames or raise an alert mid-run, and
+            // that tick must not allocate (`tests/alloc.rs`).
             out: AdasOutput {
                 frames: Vec::with_capacity(3),
+                new_alerts: Vec::with_capacity(4),
                 ..AdasOutput::default()
             },
             car: None,
             regime: Regime::Full,
-            last_cmd: CarControl::default(),
-            alert_events: 0,
-            ever_disengaged: false,
-            degraded_ticks: 0,
-            failsafe_ticks: 0,
-            first_degraded: None,
-            first_failsafe: None,
-            config,
         })
     }
 
     /// Whether the run has completed its 5,000 ticks.
     pub fn finished(&self) -> bool {
-        self.world.finished()
+        self.parts.world.finished()
     }
 
     /// Advances one control cycle.
     pub fn step(&mut self) {
-        let tick = self.world.now();
+        let tick = self.parts.world.now();
         let cmd = match self.regime {
             Regime::Full => self.full_command(tick),
-            Regime::Disengaged => self.disengaged_command(tick),
+            Regime::Disengaged => {
+                // The disengaged ADAS decodes to the held command and
+                // raises no alerts; see the module docs.
+                let held = self.parts.last_cmd;
+                self.parts.drive(tick, held, false)
+            }
             Regime::Retired => return,
         };
 
-        // Physics, then hazards over the stepped world.
-        self.world.step(cmd);
-        self.hazards.step(&self.world);
-        if self.world.collision().is_some() {
+        let parts = &mut self.parts;
+        parts.advance(cmd);
+        if parts.world.collision().is_some() {
             // A collision ends the run physically; the frozen world only
             // advances its clock from here, so run it out in one burst —
             // the same number of `World::step` calls as the scalar run.
             self.regime = Regime::Retired;
-            while !self.world.finished() {
-                self.world.step(ActuatorCommand::default());
+            while !parts.world.finished() {
+                parts.world.step(ActuatorCommand::default());
             }
-        } else if self.ever_disengaged {
+        } else if parts.ever_disengaged && parts.faults.is_none() && parts.ids.is_none() {
+            // The IDS, the gates and the other detectors attach together.
             self.regime = Regime::Disengaged;
         }
     }
@@ -159,24 +140,25 @@ impl FusedLane {
         self.result()
     }
 
-    /// A full-pipeline tick up to the physics step — the same sequence as
-    /// scalar [`Harness::step`] stages 1–7 — returning the command the
-    /// world executes.
+    /// A full-pipeline tick up to the physics step — the same stages as
+    /// scalar [`Harness::step`] 1–7 — returning the command the world
+    /// executes.
     fn full_command(&mut self, tick: Tick) -> ActuatorCommand {
-        // Sensors sample ground truth.
-        let frame = self.sensors.sample(&self.world);
+        let parts = &mut self.parts;
+        let (frame, plan) = parts.sense(tick);
 
         // The attacker eavesdrops and matches contexts. The synthesized
         // observations are exactly what its bus taps would drain: this
-        // tick's sensor samples plus the previous tick's `carState`.
-        let encode = match self.attacker.as_mut() {
+        // tick's planned sensor messages plus the previous tick's
+        // `carState`.
+        let injecting = match parts.attacker.as_mut() {
             // A dormant engine can never inject again; skipping its
             // observe/decide cycle is unobservable.
             Some(att) if !att.dormant(tick) => {
                 let obs = Observations {
-                    gps: Some(frame.gps),
-                    lane: Some(frame.lane),
-                    radar: Some(frame.radar),
+                    gps: plan.gps.map(|(_, g)| g),
+                    lane: plan.lane.map(|(_, l)| l),
+                    radar: plan.radar.map(|(_, r)| r),
                     car_state: self.car,
                 };
                 att.observe_with(tick, &obs);
@@ -185,142 +167,57 @@ impl FusedLane {
             _ => false,
         };
 
-        // The ADAS control cycle, bus-free. Frames are only materialized
-        // when the attacker injects this tick.
+        // The ADAS control cycle, bus-free. Frames are materialized only
+        // when something downstream inspects the wire this tick.
+        let encode = injecting
+            || parts.ids.is_some()
+            || parts.config.panda_enabled
+            || parts.faults.as_ref().is_some_and(|f| f.can_fault_active(tick));
         let out = &mut self.out;
-        let cycle = self
-            .adas
-            .step_direct(tick, &frame.gps, &frame.lane, &frame.radar, encode, out);
-        self.alert_events += out.new_alerts.len() as u64;
+        let cycle = parts.adas.step_direct(
+            tick,
+            plan.gps.as_ref().map(|(t, g)| (*t, g)),
+            plan.lane.as_ref().map(|(t, l)| (*t, l)),
+            plan.radar.as_ref().map(|(t, r)| (*t, r)),
+            encode,
+            out,
+        );
+        parts.account(tick, out);
 
-        // Degradation bookkeeping. Without faults or detectors the ladder
-        // never leaves Nominal, but the accounting is kept identical to
-        // the scalar harness rather than assumed away.
-        match out.degradation {
-            DegradationState::Nominal => {}
-            DegradationState::FailSafe => {
-                self.degraded_ticks += 1;
-                self.failsafe_ticks += 1;
-                self.first_degraded.get_or_insert(tick);
-                self.first_failsafe.get_or_insert(tick);
-            }
-            DegradationState::DegradedAlcOff | DegradationState::DegradedAccOff => {
-                self.degraded_ticks += 1;
-                self.first_degraded.get_or_insert(tick);
-            }
-        }
-
-        // Man-in-the-middle and actuator-side decode. On injection ticks
-        // the real frames were encoded and the attack rewrites them in
-        // flight; otherwise the quantized command is exactly what the
-        // decoder would have produced (`None` holds the last command, the
-        // empty-batch behaviour).
+        // Man-in-the-middle and delivery. On encoded ticks the real frames
+        // take the scalar path; otherwise nothing would touch them, and
+        // the quantized command is exactly what the decoder would have
+        // produced (`None` holds the last command, the empty-batch
+        // behaviour).
         let cmd = if encode {
-            if let Some(att) = self.attacker.as_mut() {
-                att.process_frames_in_place(tick, &mut out.frames);
+            if injecting {
+                if let Some(att) = parts.attacker.as_mut() {
+                    att.process_frames_in_place(tick, &mut out.frames);
+                }
             }
-            self.actuator.decode_actuators(&out.frames, self.last_cmd)
+            parts.deliver(tick, out)
         } else {
-            cycle.quantized.unwrap_or(self.last_cmd)
+            cycle.quantized.unwrap_or(parts.last_cmd)
         };
-        self.last_cmd = cmd;
+        parts.last_cmd = cmd;
         self.car = Some(cycle.car);
 
-        // The driver watches the executed behaviour and any alert.
-        let alert = !out.new_alerts.is_empty();
-        let driver_cmd = self.drive(tick, cmd, alert);
-        if driver_cmd.is_some() && !self.ever_disengaged {
-            self.adas.disengage();
-            if let Some(att) = self.attacker.as_mut() {
-                att.halt(tick);
-            }
-            self.ever_disengaged = true;
-        }
-        driver_cmd.unwrap_or(ActuatorCommand {
-            accel: cmd.accel,
-            steer: cmd.steer,
-        })
+        parts.watch(tick, out.control, &frame, cmd);
+        parts.drive(tick, cmd, !out.new_alerts.is_empty())
     }
 
-    /// A post-takeover tick: the held actuator command and the world's
-    /// truth feed the engaged driver; everything upstream is skipped.
-    fn disengaged_command(&mut self, tick: Tick) -> ActuatorCommand {
-        let cmd = self.last_cmd;
-        // The disengaged ADAS commands a clamped default: saturation and
-        // FCW alerts cannot fire, and without faults the ladder stays
-        // Nominal — no alert ticks.
-        self.drive(tick, cmd, false).unwrap_or(ActuatorCommand {
-            accel: cmd.accel,
-            steer: cmd.steer,
-        })
-    }
-
-    /// Steps the driver model on the executed command; `Some` is the
-    /// driver's own command once they have taken over.
-    fn drive(&mut self, tick: Tick, cmd: CarControl, adas_alert: bool) -> Option<ActuatorCommand> {
-        let ego = self.world.ego();
-        let gap = self.world.gap();
-        let obs = Observation {
-            speed: ego.speed(),
-            v_cruise: self.config.scenario.cruise_speed,
-            accel_cmd: cmd.accel,
-            steer_cmd: cmd.steer,
-            adas_alert,
-            lane_offset: ego.d(),
-            lead_gap: (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap),
-        };
-        self.driver.step(tick, &obs).map(|d| ActuatorCommand {
-            accel: d.accel,
-            steer: d.steer,
-        })
-    }
-
-    /// The run's [`SimResult`] so far, mirroring the scalar
-    /// `Harness::result_so_far` field for field (a fused run carries no
-    /// fault engine, detectors or Panda, so those fields are their
-    /// constructor values).
+    /// The run's [`SimResult`] so far, field for field the scalar
+    /// `Harness::result_so_far`.
     pub fn result(&self) -> SimResult {
-        let attacker = self.attacker.as_ref();
-        let first_any = self.hazards.first_any();
-        let attack_activated = attacker.and_then(|a| a.timeline().activated_at());
-        let tth = match (attack_activated, first_any) {
-            (Some(_), Some((h, _))) => attacker.and_then(|a| a.timeline().tth(h)),
-            _ => None,
-        };
-        SimResult {
-            seed: self.config.seed,
-            first_hazard: first_any.map(|(t, k)| (t.time(), k)),
-            hazard_kinds: self.hazards.kinds(),
-            accident: self.hazards.accident().map(|(t, k)| (t.time(), k)),
-            alert_events: self.alert_events,
-            fcw_events: self.adas.fcw_events(),
-            lane_invasions: self.world.lane_invasions(),
-            duration: self.world.now().time(),
-            attack_activated: attack_activated.map(Tick::time),
-            tth,
-            driver_noticed: self.driver.noticed_at().map(Tick::time),
-            driver_engaged: self.driver.engaged_at().map(Tick::time),
-            frames_rewritten: attacker.map_or(0, AttackEngine::frames_rewritten),
-            panda_blocked: 0,
-            invariant_detected: None,
-            monitor_detected: None,
-            degraded_ticks: self.degraded_ticks,
-            failsafe_ticks: self.failsafe_ticks,
-            first_degraded: self.first_degraded.map(Tick::time),
-            first_failsafe: self.first_failsafe.map(Tick::time),
-            recovery_latency: None,
-            faults_injected: 0,
-            ids_detected: None,
-            gate_rejections: self.adas.gate_rejections(),
-        }
+        self.parts.result()
     }
 }
 
 /// Runs one simulation: the campaign entry point every spec's `run()`
 /// calls.
 ///
-/// A [`BatchHarness::fast_eligible`] config runs as a [`FusedLane`], any
-/// other config on the scalar [`Harness`]; both are bit-identical to
+/// An untraced config runs as a [`FusedLane`], a traced one on the scalar
+/// [`Harness`]; both are bit-identical to
 /// `Harness::new(config).run()`, which stays the oracle. Campaigns fan
 /// cells out over the pool one run per task; stepping several runs in
 /// lockstep measured no consistent gain (DESIGN.md, "Which path a
@@ -349,14 +246,11 @@ impl BatchHarness {
         Self::default()
     }
 
-    /// Whether a config qualifies for the fused tick. Traced runs, fault
-    /// schedules, attached detectors and Panda checks take the scalar
-    /// [`Harness`] instead.
+    /// Whether a config runs on the fused tick: every untraced one. A
+    /// traced run takes the scalar [`Harness`], whose recorder reads the
+    /// bus.
     pub fn fast_eligible(config: &HarnessConfig) -> bool {
         !config.trace.enabled
-            && config.faults.is_empty()
-            && !config.defense.detectors_attached()
-            && !config.panda_enabled
     }
 
     /// Adds one run. (Named `admit`, not `push`: workspace convention
@@ -442,8 +336,8 @@ mod tests {
 
     #[test]
     fn ineligible_configs_take_the_scalar_harness() {
-        let mut cfg = HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 9);
-        cfg.panda_enabled = true;
+        let cfg = HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 9)
+            .traced(crate::TraceConfig::enabled(64));
         assert!(FusedLane::new(cfg).is_none());
         let mut batch = BatchHarness::new();
         batch.admit(cfg);
@@ -455,8 +349,8 @@ mod tests {
     #[test]
     fn mixed_run_list_keeps_push_order() {
         let fast = HarnessConfig::no_attack(scenario(ScenarioId::S2, 100.0), 11);
-        let mut exact = HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 12);
-        exact.defense = crate::DefensePolicy::Observe;
+        let exact = HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 12)
+            .traced(crate::TraceConfig::enabled(64));
         let mut batch = BatchHarness::new();
         batch.admit(fast);
         batch.admit(exact);

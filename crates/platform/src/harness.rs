@@ -16,8 +16,8 @@ use defense::{
     IdsConfig, IdsVerdict,
 };
 use driver_model::{Driver, DriverConfig, DriverPhase, Observation};
-use driving_sim::{ActuatorCommand, Scenario, SensorSuite, World, RADAR_RANGE};
-use faultinj::{FaultEngine, FaultSchedule};
+use driving_sim::{ActuatorCommand, Scenario, SensorFrame, SensorSuite, World, RADAR_RANGE};
+use faultinj::{FaultEngine, FaultSchedule, PublishPlan};
 use msgbus::schema::CarControl;
 use msgbus::{Bus, Payload};
 use openadas::{Adas, AdasOutput, CommandEncoder, DegradationState, GateConfig, PandaSafety};
@@ -178,172 +178,107 @@ impl SimResult {
     }
 }
 
-/// A single assembled simulation.
-pub struct Harness {
-    config: HarnessConfig,
-    bus: Bus,
-    world: World,
+/// One run's components and counters, stepped stage by stage. The scalar
+/// [`Harness`] and the fused [`FusedLane`](crate::FusedLane) both own one
+/// and call the same stage methods, so the two ticks differ only in how
+/// readings reach the ADAS and the attacker (the message bus or a direct
+/// feed) and in when actuator frames are materialized.
+#[derive(Debug)]
+pub(crate) struct RunParts {
+    pub(crate) config: HarnessConfig,
+    pub(crate) world: World,
     sensors: SensorSuite,
-    adas: Adas,
-    attacker: Option<AttackEngine>,
+    pub(crate) adas: Adas,
+    pub(crate) attacker: Option<AttackEngine>,
     driver: Driver,
-    panda: PandaSafety,
-    actuator_side: CommandEncoder,
+    panda: Option<PandaSafety>,
+    actuator: CommandEncoder,
     hazards: HazardDetector,
     invariant: Option<ControlInvariantDetector>,
     monitor: Option<ContextMonitor>,
-    ids: Option<CanIds>,
-    last_cmd: CarControl,
+    pub(crate) ids: Option<CanIds>,
+    pub(crate) faults: Option<FaultEngine>,
+    pub(crate) last_cmd: CarControl,
     alert_events: u64,
-    ever_disengaged: bool,
-    faults: Option<FaultEngine>,
+    pub(crate) ever_disengaged: bool,
     degraded_ticks: u64,
     failsafe_ticks: u64,
     first_degraded: Option<Tick>,
     first_failsafe: Option<Tick>,
     recovered_at: Option<Tick>,
-    recorder: Option<TraceRecorder>,
-    /// ADAS output buffers, handed to [`Adas::step_into`] and taken back
-    /// every tick so the steady-state loop never touches the heap.
-    adas_out: AdasOutput,
 }
 
-impl Harness {
-    /// Wires up a run.
-    pub fn new(config: HarnessConfig) -> Self {
-        let bus = Bus::new();
-        let world = World::new(config.scenario, config.seed);
-        let sensors = SensorSuite::new(config.seed);
+impl RunParts {
+    /// Wires up a run whose ADAS and attacker tap `bus`.
+    pub(crate) fn new(config: HarnessConfig, bus: &Bus) -> Self {
         // The attacker must subscribe before the ADAS so it sees the same
         // traffic from the start (subscription order does not matter for
         // delivery, only for realism of the deployment story).
         let attacker = config.attack.map(|mut a| {
             a.seed = a.seed.wrapping_add(config.seed);
-            AttackEngine::new(&bus, a)
+            AttackEngine::new(bus, a)
         });
         // With detectors attached the ADAS carries plausibility gates; the
         // gates only *withhold* readings under an acting policy, otherwise
         // they observe and count. With `Off` the construction is exactly
         // the undefended baseline, bit for bit.
-        let adas = if config.defense.detectors_attached() {
+        let detectors = config.defense.detectors_attached();
+        let adas = if detectors {
             let gates = if config.defense.acts() {
                 GateConfig::enforcing()
             } else {
                 GateConfig::observing()
             };
-            Adas::with_gates(&bus, config.scenario.cruise_speed, gates)
+            Adas::with_gates(bus, config.scenario.cruise_speed, gates)
         } else {
-            Adas::new(&bus, config.scenario.cruise_speed)
+            Adas::new(bus, config.scenario.cruise_speed)
         };
         Self {
-            bus,
-            world,
-            sensors,
+            world: World::new(config.scenario, config.seed),
+            sensors: SensorSuite::new(config.seed),
             adas,
             attacker,
             driver: Driver::new(config.driver),
-            panda: PandaSafety::new(config.panda_enabled),
-            actuator_side: CommandEncoder::new(),
+            panda: config.panda_enabled.then(|| PandaSafety::new(true)),
+            actuator: CommandEncoder::new(),
             hazards: HazardDetector::new(config.hazard_params),
-            invariant: config
-                .defense
-                .detectors_attached()
-                .then(ControlInvariantDetector::default),
-            monitor: config
-                .defense
-                .detectors_attached()
-                .then(ContextMonitor::default),
-            ids: config
-                .defense
-                .detectors_attached()
-                .then(|| CanIds::new(IdsConfig::default())),
+            invariant: detectors.then(ControlInvariantDetector::default),
+            monitor: detectors.then(ContextMonitor::default),
+            ids: detectors.then(|| CanIds::new(IdsConfig::default())),
+            faults: (!config.faults.is_empty())
+                .then(|| FaultEngine::new(config.seed, config.faults)),
             last_cmd: CarControl::default(),
             alert_events: 0,
             ever_disengaged: false,
-            faults: (!config.faults.is_empty())
-                .then(|| FaultEngine::new(config.seed, config.faults)),
             degraded_ticks: 0,
             failsafe_ticks: 0,
             first_degraded: None,
             first_failsafe: None,
             recovered_at: None,
-            recorder: config.trace.enabled.then(|| TraceRecorder::new(config.trace)),
-            adas_out: AdasOutput::default(),
             config,
         }
     }
 
-    /// The world (ground truth), for inspection.
-    pub fn world(&self) -> &World {
-        &self.world
-    }
-
-    /// The message bus (e.g. to attach extra eavesdroppers).
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// The attack engine, if one is mounted.
-    pub fn attacker(&self) -> Option<&AttackEngine> {
-        self.attacker.as_ref()
-    }
-
-    /// Whether the run has completed its 5,000 ticks.
-    pub fn finished(&self) -> bool {
-        self.world.finished()
-    }
-
-    /// Advances one control cycle; returns the tick that was executed.
-    pub fn step(&mut self) -> Tick {
-        let tick = self.world.now();
-
-        // A collision ends the run physically: the world is frozen and the
-        // control stack no longer does anything meaningful, so only the
-        // clock advances (keeping run durations comparable).
-        if self.world.collision().is_some() {
-            self.world.step(ActuatorCommand::default());
-            self.capture_tick(tick, None, ActuatorCommand::default());
-            return tick;
-        }
-
-        // 1. Sensors sample ground truth and publish. With a fault engine
-        // attached the sample is mutated first (stuck-at, noise, latency)
-        // and the IPC stage can drop or delay the per-stream publishes;
-        // without one the path is untouched and bit-identical to before.
-        let frame = match self.faults.as_mut() {
-            Some(eng) => {
-                let mut frame = self.sensors.sample(&self.world);
-                let plan = eng.apply_sensors(tick, &mut frame);
-                // Each publish carries the plan's *sample* stamp: a latency
-                // or bus-delay replay arrives stamped with the tick it was
-                // sampled at, so the ADAS staleness watchdog sees its true
-                // age instead of a forged fresh timestamp.
-                if let Some((stamp, gps)) = plan.gps {
-                    self.bus.publish(stamp, Payload::GpsLocationExternal(gps));
-                }
-                if let Some((stamp, lane)) = plan.lane {
-                    self.bus.publish(stamp, Payload::ModelV2(lane));
-                }
-                if let Some((stamp, radar)) = plan.radar {
-                    self.bus.publish(stamp, Payload::RadarState(radar));
-                }
-                frame
-            }
-            None => self.sensors.publish(&self.bus, tick, &self.world),
+    /// Stage 1: the sensors sample ground truth. With a fault engine
+    /// attached the sample is mutated first (stuck-at, noise, latency) and
+    /// the IPC stage can drop or delay per-stream messages; without one the
+    /// plan is the sample itself, stamped at `tick`. Each planned message
+    /// carries its *sample* stamp: a latency or bus-delay replay arrives
+    /// stamped with the tick it was sampled at, so the ADAS staleness
+    /// watchdog sees its true age instead of a forged fresh timestamp.
+    pub(crate) fn sense(&mut self, tick: Tick) -> (SensorFrame, PublishPlan) {
+        let mut frame = self.sensors.sample(&self.world);
+        let plan = match self.faults.as_mut() {
+            Some(eng) => eng.apply_sensors(tick, &mut frame),
+            None => PublishPlan::nominal(tick, &frame),
         };
+        (frame, plan)
+    }
 
-        // 2. The attacker eavesdrops and matches contexts.
-        if let Some(att) = self.attacker.as_mut() {
-            att.observe(tick);
-        }
-
-        // 3. The ADAS runs its control cycle and emits actuator frames. The
-        // output buffers are owned by the harness and reused every tick.
-        let mut out = std::mem::take(&mut self.adas_out);
-        self.adas.step_into(tick, &mut out);
+    /// Stage 3b: counts the cycle's alerts and keeps the degradation
+    /// bookkeeping for the resilience metrics.
+    pub(crate) fn account(&mut self, tick: Tick, out: &AdasOutput) {
         self.alert_events += out.new_alerts.len() as u64;
-
-        // 3b. Degradation bookkeeping for the resilience metrics.
         match out.degradation {
             DegradationState::Nominal => {
                 if self.recovered_at.is_none() && self.first_degraded.is_some() {
@@ -360,26 +295,20 @@ impl Harness {
             DegradationState::FailSafe => {
                 self.degraded_ticks += 1;
                 self.failsafe_ticks += 1;
-                if self.first_degraded.is_none() {
-                    self.first_degraded = Some(tick);
-                }
-                if self.first_failsafe.is_none() {
-                    self.first_failsafe = Some(tick);
-                }
+                self.first_degraded.get_or_insert(tick);
+                self.first_failsafe.get_or_insert(tick);
             }
             DegradationState::DegradedAlcOff | DegradationState::DegradedAccOff => {
                 self.degraded_ticks += 1;
-                if self.first_degraded.is_none() {
-                    self.first_degraded = Some(tick);
-                }
+                self.first_degraded.get_or_insert(tick);
             }
         }
+    }
 
-        // 4. Man-in-the-middle: the attack rewrites frames in flight.
-        if let Some(att) = self.attacker.as_mut() {
-            att.process_frames_in_place(tick, &mut out.frames);
-        }
-
+    /// Stages 4b–6: the frames the man in the middle let through, on their
+    /// way to the actuators. Returns the command the actuator side decodes;
+    /// invalid or missing frames hold the last command.
+    pub(crate) fn deliver(&mut self, tick: Tick, out: &mut AdasOutput) -> CarControl {
         // 4b. Fault injection at the CAN layer: bus-off, frame drops and
         // un-repaired bit flips (a flipped frame fails its checksum at the
         // actuator and is rejected there — unlike the attack engine, the
@@ -415,22 +344,29 @@ impl Harness {
         }
 
         // 5. Firmware safety checks (disabled in the paper's setup).
-        out.frames.retain(|f| self.panda.check(f).passed());
+        if let Some(panda) = self.panda.as_mut() {
+            out.frames.retain(|f| panda.check(f).passed());
+        }
 
-        // 6. Actuator-side decode; invalid/missing frames hold last values.
-        let cmd = self
-            .actuator_side
-            .decode_actuators(&out.frames, self.last_cmd);
-        self.last_cmd = cmd;
+        // 6. Actuator-side decode.
+        self.actuator.decode_actuators(&out.frames, self.last_cmd)
+    }
 
-        // 6b. §V defenses observe the boundary: the invariant detector
-        // compares the *issued* command with the measured response; the
-        // context monitor judges the *executed* command in context.
+    /// Stage 6b: the §V defenses observe the boundary. The invariant
+    /// detector compares the *issued* command with the measured response;
+    /// the context monitor judges the *executed* command in context.
+    pub(crate) fn watch(
+        &mut self,
+        tick: Tick,
+        issued: CarControl,
+        frame: &SensorFrame,
+        cmd: CarControl,
+    ) {
         if let Some(inv) = self.invariant.as_mut() {
             inv.step(
                 tick,
-                out.control.accel,
-                out.control.steer,
+                issued.accel,
+                issued.steer,
                 frame.gps.speed,
                 frame.lane.lateral_offset().raw(),
             );
@@ -449,26 +385,26 @@ impl Harness {
             };
             mon.check(tick, &obs, cmd.accel, cmd.steer);
         }
+    }
 
-        // 7. The driver watches the executed behaviour and any alert.
+    /// Stage 7: the driver watches the executed command and any alert. On
+    /// the first takeover the ADAS disengages and the attack halts. Returns
+    /// the command the world executes.
+    pub(crate) fn drive(&mut self, tick: Tick, cmd: CarControl, adas_alert: bool) -> ActuatorCommand {
+        let ego = self.world.ego();
+        let gap = self.world.gap();
         let obs = Observation {
-            speed: self.world.ego().speed(),
+            speed: ego.speed(),
             v_cruise: self.config.scenario.cruise_speed,
             accel_cmd: cmd.accel,
             steer_cmd: cmd.steer,
-            adas_alert: !out.new_alerts.is_empty(),
-            lane_offset: self.world.ego().d(),
-            lead_gap: {
-                let gap = self.world.gap();
-                (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap)
-            },
+            adas_alert,
+            lane_offset: ego.d(),
+            lead_gap: (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap),
         };
-        let driver_cmd = self.driver.step(tick, &obs);
-
-        let final_cmd = match driver_cmd {
+        match self.driver.step(tick, &obs) {
             Some(d) => {
                 if !self.ever_disengaged {
-                    // Driver takes over: ADAS disengages, attack halts.
                     self.adas.disengage();
                     if let Some(att) = self.attacker.as_mut() {
                         att.halt(tick);
@@ -484,11 +420,168 @@ impl Harness {
                 accel: cmd.accel,
                 steer: cmd.steer,
             },
-        };
+        }
+    }
 
-        // 8. Physics + hazard bookkeeping.
-        self.world.step(final_cmd);
+    /// Stage 8: physics, then hazard bookkeeping over the stepped world.
+    pub(crate) fn advance(&mut self, cmd: ActuatorCommand) {
+        self.world.step(cmd);
         self.hazards.step(&self.world);
+    }
+
+    /// Snapshot of the result at the current point in the run.
+    pub(crate) fn result(&self) -> SimResult {
+        let attacker = self.attacker.as_ref();
+        let first_any = self.hazards.first_any();
+        let attack_activated = attacker.and_then(|a| a.timeline().activated_at());
+        let tth = match (attack_activated, first_any) {
+            (Some(_), Some((h, _))) => attacker.and_then(|a| a.timeline().tth(h)),
+            _ => None,
+        };
+        let last_fault_end = self.faults.as_ref().and_then(FaultEngine::last_fault_end);
+        SimResult {
+            seed: self.config.seed,
+            first_hazard: first_any.map(|(t, k)| (t.time(), k)),
+            hazard_kinds: self.hazards.kinds(),
+            accident: self.hazards.accident().map(|(t, k)| (t.time(), k)),
+            alert_events: self.alert_events,
+            fcw_events: self.adas.fcw_events(),
+            lane_invasions: self.world.lane_invasions(),
+            duration: self.world.now().time(),
+            attack_activated: attack_activated.map(Tick::time),
+            tth,
+            driver_noticed: self.driver.noticed_at().map(Tick::time),
+            driver_engaged: self.driver.engaged_at().map(Tick::time),
+            frames_rewritten: attacker.map_or(0, AttackEngine::frames_rewritten),
+            panda_blocked: self.panda_blocked(),
+            invariant_detected: self
+                .invariant
+                .as_ref()
+                .and_then(ControlInvariantDetector::detected_at)
+                .map(Tick::time),
+            monitor_detected: self
+                .monitor
+                .as_ref()
+                .and_then(ContextMonitor::detected_at)
+                .map(Tick::time),
+            degraded_ticks: self.degraded_ticks,
+            failsafe_ticks: self.failsafe_ticks,
+            first_degraded: self.first_degraded.map(Tick::time),
+            first_failsafe: self.first_failsafe.map(Tick::time),
+            recovery_latency: self.recovered_at.and_then(|at| {
+                last_fault_end.map(|end| Tick::new(at.index().saturating_sub(end)).time())
+            }),
+            faults_injected: self.faults_injected(),
+            ids_detected: self
+                .ids
+                .as_ref()
+                .and_then(CanIds::detected_at)
+                .map(Tick::time),
+            gate_rejections: self.adas.gate_rejections(),
+        }
+    }
+
+    fn panda_blocked(&self) -> u64 {
+        self.panda.as_ref().map_or(0, PandaSafety::blocked_count)
+    }
+
+    fn faults_injected(&self) -> u64 {
+        self.faults.as_ref().map_or(0, FaultEngine::faults_injected)
+    }
+}
+
+/// A single assembled simulation on the message bus: the scalar tick, and
+/// the bit-exactness oracle for the fused one.
+pub struct Harness {
+    parts: RunParts,
+    bus: Bus,
+    recorder: Option<TraceRecorder>,
+    /// ADAS output buffers, handed to [`Adas::step_into`] and taken back
+    /// every tick so the steady-state loop never touches the heap.
+    adas_out: AdasOutput,
+}
+
+impl Harness {
+    /// Wires up a run.
+    pub fn new(config: HarnessConfig) -> Self {
+        let bus = Bus::new();
+        Self {
+            parts: RunParts::new(config, &bus),
+            bus,
+            recorder: config.trace.enabled.then(|| TraceRecorder::new(config.trace)),
+            adas_out: AdasOutput::default(),
+        }
+    }
+
+    /// The world (ground truth), for inspection.
+    pub fn world(&self) -> &World {
+        &self.parts.world
+    }
+
+    /// The message bus (e.g. to attach extra eavesdroppers).
+    pub fn bus(&self) -> &Bus {
+        &self.bus
+    }
+
+    /// The attack engine, if one is mounted.
+    pub fn attacker(&self) -> Option<&AttackEngine> {
+        self.parts.attacker.as_ref()
+    }
+
+    /// Whether the run has completed its 5,000 ticks.
+    pub fn finished(&self) -> bool {
+        self.parts.world.finished()
+    }
+
+    /// Advances one control cycle; returns the tick that was executed.
+    pub fn step(&mut self) -> Tick {
+        let tick = self.parts.world.now();
+
+        // A collision ends the run physically: the world is frozen and the
+        // control stack no longer does anything meaningful, so only the
+        // clock advances (keeping run durations comparable).
+        if self.parts.world.collision().is_some() {
+            self.parts.world.step(ActuatorCommand::default());
+            self.capture_tick(tick, None, ActuatorCommand::default());
+            return tick;
+        }
+
+        // 1. Sensors sample ground truth and publish the plan.
+        let (frame, plan) = self.parts.sense(tick);
+        if let Some((stamp, gps)) = plan.gps {
+            self.bus.publish(stamp, Payload::GpsLocationExternal(gps));
+        }
+        if let Some((stamp, lane)) = plan.lane {
+            self.bus.publish(stamp, Payload::ModelV2(lane));
+        }
+        if let Some((stamp, radar)) = plan.radar {
+            self.bus.publish(stamp, Payload::RadarState(radar));
+        }
+
+        // 2. The attacker eavesdrops and matches contexts.
+        if let Some(att) = self.parts.attacker.as_mut() {
+            att.observe(tick);
+        }
+
+        // 3. The ADAS runs its control cycle and emits actuator frames. The
+        // output buffers are owned by the harness and reused every tick.
+        let mut out = std::mem::take(&mut self.adas_out);
+        self.parts.adas.step_into(tick, &mut out);
+        self.parts.account(tick, &out);
+
+        // 4. Man-in-the-middle: the attack rewrites frames in flight.
+        if let Some(att) = self.parts.attacker.as_mut() {
+            att.process_frames_in_place(tick, &mut out.frames);
+        }
+
+        // 4b–6. CAN faults, IDS, Panda, actuator-side decode.
+        let cmd = self.parts.deliver(tick, &mut out);
+        self.parts.last_cmd = cmd;
+
+        // 6b–8. Defenses, driver, physics and hazards.
+        self.parts.watch(tick, out.control, &frame, cmd);
+        let final_cmd = self.parts.drive(tick, cmd, !out.new_alerts.is_empty());
+        self.parts.advance(final_cmd);
 
         // 9. Flight recorder: snapshot the executed cycle (no-op when off).
         self.capture_tick(tick, Some(&out), final_cmd);
@@ -504,10 +597,11 @@ impl Harness {
         let Some(rec) = self.recorder.as_mut() else {
             return;
         };
-        let ego = self.world.ego();
-        let lead = self.world.lead();
+        let p = &self.parts;
+        let ego = p.world.ego();
+        let lead = p.world.lead();
         let v = ego.speed().mps();
-        let raw_gap = self.world.gap().raw();
+        let raw_gap = p.world.gap().raw();
         // Same visibility window the driver model uses: a lead beyond
         // [`RADAR_RANGE`] (or behind) is "no lead".
         let gap = if raw_gap > 0.0 && raw_gap < RADAR_RANGE.raw() {
@@ -533,36 +627,33 @@ impl Harness {
             alc_desired_deg: out.map_or(0.0, |o| o.alc.desired.degrees()),
             alc_cmd_deg: out.map_or(0.0, |o| o.alc.command.degrees()),
             alc_saturated: out.is_some_and(|o| o.alc.saturated),
-            cmd_accel: self.last_cmd.accel.raw(),
-            cmd_steer_deg: self.last_cmd.steer.degrees(),
+            cmd_accel: p.last_cmd.accel.raw(),
+            cmd_steer_deg: p.last_cmd.steer.degrees(),
             applied_accel: applied.accel.raw(),
             applied_steer_deg: applied.steer.degrees(),
             bus_published: self.bus.published_by_topic(),
-            attack_active: self.attacker.as_ref().is_some_and(AttackEngine::is_active),
-            frames_rewritten: self
-                .attacker
-                .as_ref()
-                .map_or(0, AttackEngine::frames_rewritten),
-            panda_blocked: self.panda.blocked_count(),
-            alert_events: self.alert_events,
-            driver_phase: match self.driver.phase() {
+            attack_active: p.attacker.as_ref().is_some_and(AttackEngine::is_active),
+            frames_rewritten: p.attacker.as_ref().map_or(0, AttackEngine::frames_rewritten),
+            panda_blocked: p.panda_blocked(),
+            alert_events: p.alert_events,
+            driver_phase: match p.driver.phase() {
                 DriverPhase::Monitoring => DriverPhaseCode::Monitoring,
                 DriverPhase::Reacting { .. } => DriverPhaseCode::Reacting,
                 DriverPhase::Engaged { .. } => DriverPhaseCode::Engaged,
             },
-            hazard_mask: self.hazards.mask(),
-            h3_streak: self.hazards.h3_streak(),
-            collided: self.world.collision().is_some(),
-            fault_mask: self.faults.as_ref().map_or(0, FaultEngine::active_mask),
-            faults_injected: self.faults.as_ref().map_or(0, FaultEngine::faults_injected),
-            degradation: match self.adas.degradation() {
+            hazard_mask: p.hazards.mask(),
+            h3_streak: p.hazards.h3_streak(),
+            collided: p.world.collision().is_some(),
+            fault_mask: p.faults.as_ref().map_or(0, FaultEngine::active_mask),
+            faults_injected: p.faults_injected(),
+            degradation: match p.adas.degradation() {
                 DegradationState::Nominal => DegradationCode::Nominal,
                 DegradationState::DegradedAlcOff => DegradationCode::AlcOff,
                 DegradationState::DegradedAccOff => DegradationCode::AccOff,
                 DegradationState::FailSafe => DegradationCode::FailSafe,
             },
-            gate_rejections: self.adas.gate_rejections(),
-            ids: match self.ids.as_ref().map_or(IdsVerdict::Nominal, CanIds::verdict) {
+            gate_rejections: p.adas.gate_rejections(),
+            ids: match p.ids.as_ref().map_or(IdsVerdict::Nominal, CanIds::verdict) {
                 IdsVerdict::Nominal => IdsCode::Nominal,
                 IdsVerdict::Suspicious => IdsCode::Suspicious,
                 IdsVerdict::Alarm => IdsCode::Alarm,
@@ -610,67 +701,7 @@ impl Harness {
 
     /// Snapshot of the result at the current point in the run.
     pub fn result_so_far(&self) -> SimResult {
-        let first_hazard = self
-            .hazards
-            .first_any()
-            .map(|(t, k)| (t.time(), k));
-        let attack_activated = self
-            .attacker
-            .as_ref()
-            .and_then(|a| a.timeline().activated_at());
-        let tth = match (attack_activated, self.hazards.first_any()) {
-            (Some(_), Some((h, _))) => self
-                .attacker
-                .as_ref()
-                .and_then(|a| a.timeline().tth(h)),
-            _ => None,
-        };
-        SimResult {
-            seed: self.config.seed,
-            first_hazard,
-            hazard_kinds: self.hazards.kinds(),
-            accident: self.hazards.accident().map(|(t, k)| (t.time(), k)),
-            alert_events: self.alert_events,
-            fcw_events: self.adas.fcw_events(),
-            lane_invasions: self.world.lane_invasions(),
-            duration: self.world.now().time(),
-            attack_activated: attack_activated.map(Tick::time),
-            tth,
-            driver_noticed: self.driver.noticed_at().map(Tick::time),
-            driver_engaged: self.driver.engaged_at().map(Tick::time),
-            frames_rewritten: self
-                .attacker
-                .as_ref()
-                .map_or(0, AttackEngine::frames_rewritten),
-            panda_blocked: self.panda.blocked_count(),
-            invariant_detected: self
-                .invariant
-                .as_ref()
-                .and_then(|d| d.detected_at())
-                .map(Tick::time),
-            monitor_detected: self
-                .monitor
-                .as_ref()
-                .and_then(|m| m.detected_at())
-                .map(Tick::time),
-            degraded_ticks: self.degraded_ticks,
-            failsafe_ticks: self.failsafe_ticks,
-            first_degraded: self.first_degraded.map(Tick::time),
-            first_failsafe: self.first_failsafe.map(Tick::time),
-            recovery_latency: self.recovered_at.and_then(|at| {
-                self.faults
-                    .as_ref()
-                    .and_then(FaultEngine::last_fault_end)
-                    .map(|end| Tick::new(at.index().saturating_sub(end)).time())
-            }),
-            faults_injected: self.faults.as_ref().map_or(0, FaultEngine::faults_injected),
-            ids_detected: self
-                .ids
-                .as_ref()
-                .and_then(CanIds::detected_at)
-                .map(Tick::time),
-            gate_rejections: self.adas.gate_rejections(),
-        }
+        self.parts.result()
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! * [`Harness`] — one simulation run (5,000 × 10 ms ticks).
 //! * [`simulate`] — one campaign cell, on the fused tick ([`FusedLane`])
-//!   when the config allows it, else on the scalar [`Harness`].
+//!   unless it is traced, then on the scalar [`Harness`].
 //! * [`HazardDetector`] — the hazards H1–H3 and accidents A1/A3 of §III-A.
 //! * [`SimResult`] / [`metrics`] — per-run outcomes and aggregation.
 //! * [`experiment`] — the 1,440/14,400-run campaigns (Tables IV and V).

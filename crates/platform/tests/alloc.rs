@@ -1,7 +1,7 @@
 //! Proves mechanically that after warm-up `Harness::step`, and the fused
-//! `FusedLane::step` every fast-eligible campaign cell runs on, perform
-//! **zero heap allocations** on a steady-state (no-trace,
-//! no-collision) tick.
+//! `FusedLane::step` every untraced campaign cell runs on — attacked,
+//! faulted or defended — perform **zero heap allocations** on a
+//! steady-state (no-trace, no-collision) tick.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; counting is
 //! armed only around the measured window so test-harness bookkeeping and
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driving_sim::{Scenario, ScenarioId};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use platform::{FusedLane, Harness, HarnessConfig};
+use platform::{DefensePolicy, FusedLane, Harness, HarnessConfig};
 use units::Distance;
 
 struct CountingAllocator;
@@ -51,7 +51,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Single test so the global counters see exactly one measured window per
-/// harness (plain, fault-injected and fused, armed back to back).
+/// harness (plain, fault-injected, fused and defended fused, armed back
+/// to back).
 #[test]
 fn steady_state_tick_does_not_touch_the_heap() {
     let scenario = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
@@ -85,6 +86,22 @@ fn steady_state_tick_does_not_touch_the_heap() {
         FusedLane::new(attacked_cfg).expect("an attacked, untraced cell is fast-eligible");
     let mut oracle = Harness::new(attacked_cfg);
 
+    // Two defended fused lanes. A fail-safe posture whose CAN bit-flip
+    // window opens inside the measured window: from tick 800 the lane
+    // encodes frames through the fault pass, the IDS alarms on bad
+    // checksums and the policy forces the fail-safe rung (and its alert).
+    // And the record-only posture under the injecting attack above: gates,
+    // IDS and detectors watch every tick of the live rewrite.
+    let failsafe_cfg = HarnessConfig::no_attack(scenario, 3)
+        .with_defense(DefensePolicy::FailSafe)
+        .with_faults(FaultSchedule::single(
+            FaultSpec::window(FaultKind::CanBitFlip, FaultTarget::All, 800, 300)
+                .with_intensity(0.5),
+        ));
+    let mut failsafe = FusedLane::new(failsafe_cfg).expect("an untraced cell is fused");
+    let mut observed = FusedLane::new(attacked_cfg.with_defense(DefensePolicy::Observe))
+        .expect("an untraced cell is fused");
+
     // Warm-up: let every reused buffer reach its high-water mark (the
     // encoder's counter map fills on the first engaged tick; the msgbus
     // ring and the drain scratch buffers stabilize within a few ticks).
@@ -93,16 +110,22 @@ fn steady_state_tick_does_not_touch_the_heap() {
         faulted.step();
         fused.step();
         oracle.step();
+        failsafe.step();
+        observed.step();
     }
     let frames_before = oracle.attacker().map_or(0, |a| a.frames_rewritten());
+    let (failsafe_before, observed_before) = (failsafe.result(), observed.result());
 
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..1_000 {
         harness.step();
         faulted.step();
         fused.step();
+        failsafe.step();
+        observed.step();
     }
     ARMED.store(false, Ordering::SeqCst);
+    let (failsafe_after, observed_after) = (failsafe.result(), observed.result());
 
     // The scalar twin, stepped outside the armed window, shows the
     // attack really injected during it.
@@ -117,13 +140,27 @@ fn steady_state_tick_does_not_touch_the_heap() {
     );
     assert!(oracle.result_so_far().accident.is_none());
 
+    // The defended lanes' counters show each scenario happened inside the
+    // window.
+    assert_eq!(failsafe_before.faults_injected, 0, "the bit flips start inside the window");
+    assert!(failsafe_after.faults_injected > 0, "{failsafe_after:?}");
+    assert!(failsafe_after.ids_detected.is_some(), "{failsafe_after:?}");
+    assert!(failsafe_after.first_failsafe.is_some(), "{failsafe_after:?}");
+    assert!(failsafe_after.accident.is_none(), "{failsafe_after:?}");
+    assert_eq!(observed_before.frames_rewritten, 0);
+    assert!(
+        observed_after.frames_rewritten > 500,
+        "the attack injects under observation ({observed_after:?})"
+    );
+    assert!(observed_after.accident.is_none(), "{observed_after:?}");
+
     let allocs = ALLOCS.load(Ordering::SeqCst);
     let reallocs = REALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
         "steady-state Harness::step and FusedLane::step must not \
-         allocate, with or without fault injection or an injecting attack \
-         ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
+         allocate, with or without fault injection, defenses or an \
+         injecting attack ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
     );
 }

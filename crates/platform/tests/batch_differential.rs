@@ -7,9 +7,9 @@
 //! * **Fused** — attack-free or attacked, untraced, fault-free, no
 //!   detectors: [`FusedLane::new`] must accept every such config, and
 //!   `simulate` must produce the scalar's [`SimResult`] bit for bit.
-//! * **Scalar** — traced runs, fault schedules, attached detectors, Panda
-//!   checks: `FusedLane::new` must refuse the config, and `simulate` must
-//!   still match a standalone scalar run.
+//! * **Faulted** — fault schedules and attached detectors, traced or not:
+//!   `FusedLane::new` must refuse exactly the traced configs, and
+//!   `simulate` must still match a standalone scalar run either way.
 //!
 //! Each case also pushes two runs with different seeds into one run list,
 //! so its push-order bookkeeping is exercised, not just single runs.
@@ -111,9 +111,10 @@ proptest! {
         assert_matches_scalar(&[a, b]);
     }
 
-    /// Scalar runs: tracing, fault windows and attached detectors must
-    /// take the scalar harness — results identical to a standalone scalar
-    /// run, even mixed into one run list with a fused run.
+    /// Faulted runs: fault windows and attached detectors ride the fused
+    /// tick unless the run is traced, which takes the scalar harness —
+    /// results identical to a standalone scalar run either way, even mixed
+    /// into one run list with a fused run.
     #[test]
     fn exact_lanes_match_the_scalar_oracle_with_traces(
         scenario_i in 0..12usize,
@@ -139,13 +140,17 @@ proptest! {
         // keep push order intact.
         let fast = base_config(scenario_i + 1, seed ^ 0x9E37_79B9, true);
 
-        prop_assert!(FusedLane::new(exact).is_none(), "a faulted run takes the scalar harness");
+        prop_assert_eq!(
+            FusedLane::new(exact).is_none(),
+            traced,
+            "a traced run takes the scalar harness"
+        );
         prop_assert!(FusedLane::new(fast).is_some());
         let mut probe = BatchHarness::new();
         probe.admit(exact);
         probe.admit(fast);
-        prop_assert_eq!(probe.exact_lanes(), 1);
-        prop_assert_eq!(probe.fast_lanes(), 1);
+        prop_assert_eq!(probe.exact_lanes(), usize::from(traced));
+        prop_assert_eq!(probe.fast_lanes(), 2 - usize::from(traced));
 
         assert_matches_scalar(&[exact, fast]);
     }

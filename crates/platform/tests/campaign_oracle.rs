@@ -1,7 +1,7 @@
 //! Every campaign spec against the scalar oracle.
 //!
-//! A spec's `run()` goes through [`platform::simulate`], which runs a
-//! fast-eligible config as a `FusedLane` and anything else on the scalar
+//! A spec's `run()` goes through [`platform::simulate`], which runs an
+//! untraced config as a `FusedLane` and a traced one on the scalar
 //! `Harness`. These tests pin that entry point to
 //! `Harness::new(spec.harness_config(..)).run()` for every spec type, so
 //! the campaign runners' own serial-vs-pool checks (which now compare the
@@ -121,7 +121,7 @@ fn run_spec_matches_the_scalar_harness_attack_free_panda_and_inattentive() {
     let panda_cells = attack_cells(&panda, AttackType::Acceleration, 4);
     assert!(panda_cells
         .iter()
-        .all(|s| !BatchHarness::fast_eligible(&s.harness_config(TraceConfig::disabled()))));
+        .all(|s| FusedLane::new(s.harness_config(TraceConfig::disabled())).is_some()));
     specs.extend(panda_cells);
 
     let mut inattentive = CampaignConfig::smoke(StrategyKind::ContextAware, 1);
@@ -148,9 +148,9 @@ fn defense_spec_matches_the_scalar_harness_for_every_posture_and_threat() {
             assert_eq!(spec.run(), oracle(spec.harness_config()), "{spec:?}");
         }
     }
-    // Off against the clean and the six attack threats: the fault-free,
-    // detector-free cells.
-    assert_eq!(fused, 1 + AttackType::ALL.len());
+    // Every posture against every threat: faults, gates, the IDS and the
+    // detectors all ride the fused tick.
+    assert_eq!(fused, threats.len() * POLICIES.len());
 }
 
 #[test]
@@ -166,6 +166,12 @@ fn resilience_spec_matches_the_scalar_harness() {
             .map(|c| plan[c * cells + (c + shift) % cells])
             .collect::<Vec<_>>()
     };
+    // Every resilience cell, faulted and defended alike, rides the fused
+    // tick.
+    assert!(degrade
+        .iter()
+        .chain(&undefended)
+        .all(|s| BatchHarness::fast_eligible(&s.harness_config())));
     for spec in picked(&degrade, 0).iter().chain(&picked(&undefended, 5)) {
         assert_eq!(spec.run(), oracle(spec.harness_config()), "{spec:?}");
     }
